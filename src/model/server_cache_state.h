@@ -114,10 +114,11 @@ class ServerCacheState {
   /// per-state scratch arena keyed on the replicated-set signature (an
   /// epoch bumped by replicate()/refresh_pb()), so re-evaluating the same
   /// candidate between commits that did not touch this server is a table
-  /// lookup instead of a digamma solve.  The memo makes this method
-  /// non-reentrant across threads for the SAME state object; the placement
-  /// engines honour that by partitioning candidate batches by server
-  /// (states of different servers are independent).
+  /// lookup instead of a digamma solve.  The memo has one slot per site, and
+  /// a call writes only slot `site`: concurrent calls on one state are safe
+  /// for DISTINCT sites, but not for the same site (nor concurrently with
+  /// replicate()/refresh_pb()).  The placement engines give each (server,
+  /// site) candidate to exactly one thread per batch.
   WhatIf what_if_replicate(std::uint32_t site) const;
 
   /// Monotone counter identifying the current replicated set (bumped by

@@ -55,8 +55,8 @@ struct RunManifest {
   void add_fingerprints(
       const std::vector<std::pair<std::string, std::uint64_t>>& sections);
 
-  /// Samples wall time (since make_run_manifest), process CPU time, and
-  /// peak RSS into the corresponding fields.  Call once at end of run.
+  /// Samples wall time (since process start), process CPU time, and peak
+  /// RSS into the corresponding fields.  Call once at end of run.
   void finalize();
 
   /// Writes the manifest object as the next JSON value on `w`.
@@ -66,13 +66,13 @@ struct RunManifest {
   /// Writes `to_json()` to `path` (truncating).  Throws on I/O error.
   void write_json_file(const std::string& path) const;
 
-  /// Steady-clock ns at capture time; set by make_run_manifest and read by
-  /// finalize().  Not exported.
+  /// Steady-clock ns at process start; set by make_run_manifest and read
+  /// by finalize().  Not exported.
   std::uint64_t start_steady_ns = 0;
 };
 
 /// A manifest pre-filled with build provenance (compiler, build type,
-/// flags) and the wall-clock start mark.
+/// flags) and the process-start wall-clock mark.
 RunManifest make_run_manifest(std::string tool);
 
 }  // namespace cdn::obs

@@ -120,12 +120,13 @@ double hybrid_relative_gain(const sys::CdnSystem& system,
   return gain;
 }
 
-HybridBenefitParts hybrid_benefit_parts_capture(
+}  // namespace detail
+
+HybridBenefitParts hybrid_candidate_benefit_parts(
     const sys::CdnSystem& system, const sys::ReplicaPlacement& placement,
     const sys::NearestReplicaIndex& nearest,
     const model::ServerCacheState& state, const std::vector<double>& hit,
-    const double* miss_flow, sys::ServerIndex server, sys::SiteIndex site,
-    double* penalty_terms) {
+    const double* miss_flow, sys::ServerIndex server, sys::SiteIndex site) {
   const std::size_t m = system.site_count();
   const std::size_t i = server;
   const std::size_t j = site;
@@ -139,23 +140,12 @@ HybridBenefitParts hybrid_benefit_parts_capture(
           : (1.0 - hit[i * m + j]) * system.demand().requests(server, site);
   parts.local_gain = local_flow * nearest.cost(server, site);
 
-  parts.cache_penalty = hybrid_cache_penalty(system, nearest, state, hit,
-                                             server, site, penalty_terms);
-  parts.relative_gain = hybrid_relative_gain(system, placement, nearest, hit,
-                                             miss_flow, server, site);
+  parts.cache_penalty = detail::hybrid_cache_penalty(system, nearest, state,
+                                                     hit, server, site,
+                                                     nullptr);
+  parts.relative_gain = detail::hybrid_relative_gain(
+      system, placement, nearest, hit, miss_flow, server, site);
   return parts;
-}
-
-}  // namespace detail
-
-HybridBenefitParts hybrid_candidate_benefit_parts(
-    const sys::CdnSystem& system, const sys::ReplicaPlacement& placement,
-    const sys::NearestReplicaIndex& nearest,
-    const model::ServerCacheState& state, const std::vector<double>& hit,
-    const double* miss_flow, sys::ServerIndex server, sys::SiteIndex site) {
-  return detail::hybrid_benefit_parts_capture(system, placement, nearest,
-                                              state, hit, miss_flow, server,
-                                              site, nullptr);
 }
 
 HybridBenefitParts hybrid_candidate_benefit_parts(

@@ -22,23 +22,34 @@
 //     miss flow for j: flow[i*][j] changed bitwise, j is unreplicated at i*,
 //     and C(i*, SN_j^(i*)) > C(i*, i) (the max(0, .) gate is open) — ONLY
 //     the relative-gain term is stale: RELATIVE repair — re-run the O(N)
-//     relative loop, reuse the cached local gain and penalty.
+//     relative sum, reuse the cached local gain and penalty.
 //
 // The local gain of a repaired candidate never moves: it reads flow[i][j]
 // (row i* only changed -> full re-eval) and nearest.cost(i, j) (column j*
-// only changed -> full re-eval).  Repairs reuse exactly the term helpers
-// the canonical hybrid_candidate_benefit_parts is built from, so every
+// only changed -> full re-eval).  Repairs compute exactly the terms the
+// canonical hybrid_candidate_benefit_parts is built from, so every
 // repaired double equals what a fresh evaluation would produce.
+//
+// The relative-gain term — of full evaluations and repairs alike — is
+// summed over the site-major RelativeColumns (tier_evaluator.h), a
+// contiguous sweep instead of three stride-M matrix walks.  The columns add
+// the same products in the same ascending-k order as
+// hybrid_relative_gain, so the sum is bitwise equal; they are patched on
+// every commit from the same nearest index and miss-flow row.
 //
 // Everything else keeps its cached benefit.  Cached values live in a lazy
 // max-heap ordered (benefit desc, server asc, site asc) — exactly the
 // reference's winner tie-break — with per-candidate version counters for
-// lazy deletion.  Invalidated candidates are re-evaluated in parallel
-// batches grouped by server (the WhatIf memo arena in ServerCacheState is
-// per-state mutable, so a state must stay single-threaded) using the same
-// canonical benefit function and the same miss-flow matrix as the reference,
-// so every evaluated double is bit-identical and the two engines produce
-// byte-identical placements, cost trajectories and commit orders.
+// lazy deletion.  Invalidated candidates are re-evaluated in one parallel
+// batch per commit with the same term definitions and the same miss-flow
+// matrix as the reference, so every evaluated double is bit-identical and
+// the two engines produce byte-identical placements, cost trajectories and
+// commit orders.  Under kExact the batch is flat: fixed chunks of the
+// marked list go to whichever worker is free, because candidate (i, j) is
+// the only writer of its own outputs and of slot j of server i's WhatIf
+// memo, and everything else it reads is immutable during the batch.  The
+// heap is then fed serially in marked order; since the winner is fixed by
+// the total order above, results do not depend on the thread count.
 //
 // Feasibility is monotone (server budgets only shrink), so a candidate that
 // stops fitting is dead forever; deaths can only occur inside the
@@ -46,7 +57,8 @@
 // re-evaluation notices them.
 //
 // Tier mode (placement_model != kExact) reuses the same invalidation sets
-// but prices kFull re-evaluations from the shared per-server tables and
+// but prices kFull re-evaluations' penalties from the shared per-server
+// tables (batches stay grouped by server: those tables rebuild lazily) and
 // verifies near-top candidates with the exact model before commit (see
 // hybrid_greedy.h).  Repairs of an exact-verified candidate patch the
 // exact decomposition in place instead of dropping back to a tier price:
@@ -76,6 +88,11 @@
 namespace cdn::placement::detail {
 
 namespace {
+
+// Marked candidates per dynamically scheduled task of the kExact batch: a
+// commit marks hundreds to thousands, and the committed server's row of
+// O(M) full re-evaluations must spread over several workers.
+constexpr std::size_t kBatchChunk = 32;
 
 struct HeapEntry {
   double benefit = 0.0;
@@ -159,18 +176,17 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
   };
   result.cost_trajectory.push_back(current_cost());
 
-  // Tier fast path (kClosedForm / kChe): candidate prices come from shared
-  // per-server tables and the transposed relative columns; every branch
-  // below that touches `tier`/`columns` is gated on `tiered`, so the kExact
-  // paths stay literally the pre-tier code (byte-identity gate).
+  // Every tier sums relative gains over the site-major columns.  The tier
+  // fast path (kClosedForm / kChe) also prices cache penalties from shared
+  // per-server tables; every branch below that touches `tier` is gated on
+  // `tiered`, so the kExact penalties stay the canonical exact terms.
   const bool tiered = options.placement_model != PlacementModel::kExact;
+  RelativeColumns columns;
+  columns.build(system, result.placement, result.nearest, flow);
   std::optional<TierEvaluator> tier;
-  std::optional<RelativeColumns> columns;
   if (tiered) {
     tier.emplace(system, states, result.nearest, context.curve(),
                  context.occupancy(), options.placement_model);
-    columns.emplace();
-    columns->build(system, result.placement, result.nearest, flow);
   }
   std::uint64_t tier_fallbacks = 0;
   std::uint64_t tier_margin_hits = 0;
@@ -217,6 +233,13 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
   const bool term_cache = !tiered && n * m * m <= (std::size_t{1} << 24);
   std::vector<double> pen_terms(term_cache ? n * m * m : 0, 0.0);
 
+  // HybridBenefitParts::total() minus the add cost, in that order.
+  auto set_value = [&](std::size_t idx, sys::SiteIndex site) {
+    val[idx] = part_local[idx] + part_relative[idx] - part_penalty[idx] -
+               options.add_cost_per_byte *
+                   static_cast<double>(system.site_bytes()[site]);
+  };
+
   auto evaluate = [&](std::size_t idx) {
     const auto server = static_cast<sys::ServerIndex>(idx / m);
     const auto site = static_cast<sys::SiteIndex>(idx % m);
@@ -227,27 +250,19 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
     CDN_DCHECK(states[server].can_fit(static_cast<std::uint32_t>(site)),
                "placement and model state disagree on free space");
     eval_ok[idx] = 1;
+    // Local and relative terms are model-free, so exact in every tier; only
+    // a tiered cache penalty is priced from the tables.
+    part_local[idx] = flow[idx] * result.nearest.cost(server, site);
     if (tiered) {
-      // Local and relative terms are exact (they are model-free); only the
-      // cache penalty is tier-priced.
       still_exact[idx] = 0;
-      part_local[idx] = flow[idx] * result.nearest.cost(server, site);
       part_penalty[idx] = tier->penalty(server, site);
-      part_relative[idx] = columns->relative_gain(server, site);
-      val[idx] = part_local[idx] + part_relative[idx] - part_penalty[idx] -
-                 options.add_cost_per_byte *
-                     static_cast<double>(system.site_bytes()[site]);
-      return;
+    } else {
+      part_penalty[idx] = hybrid_cache_penalty(
+          system, result.nearest, states[server], hit, server, site,
+          term_cache ? &pen_terms[idx * m] : nullptr);
     }
-    const HybridBenefitParts parts = hybrid_benefit_parts_capture(
-        system, result.placement, result.nearest, states[server], hit,
-        flow.data(), server, site,
-        term_cache ? &pen_terms[idx * m] : nullptr);
-    part_local[idx] = parts.local_gain;
-    part_penalty[idx] = parts.cache_penalty;
-    part_relative[idx] = parts.relative_gain;
-    val[idx] = parts.total() - options.add_cost_per_byte *
-                                   static_cast<double>(system.site_bytes()[site]);
+    part_relative[idx] = columns.relative_gain(server, site);
+    set_value(idx, site);
   };
 
   // Component repair: recompute only the stale term(s) of an alive
@@ -282,26 +297,13 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
                 dh * system.demand().requests(server, js) * (c_new - c_old);
           }
         }
-        if ((kind & kRepairRelative) != 0) {
-          part_relative[idx] = columns->relative_gain(server, site);
-        }
         still_exact[idx] = 1;
-      } else {
-        // Tier repairs re-price from the (already patched) shared tables —
-        // both components are O(1)-ish, so no term cache is needed.
-        if ((kind & kRepairPenalty) != 0) {
-          part_penalty[idx] = tier->penalty(server, site);
-        }
-        if ((kind & kRepairRelative) != 0) {
-          part_relative[idx] = columns->relative_gain(server, site);
-        }
+      } else if ((kind & kRepairPenalty) != 0) {
+        // Tier repairs re-price from the (already patched) shared tables,
+        // which is O(1)-ish, so no term cache is needed.
+        part_penalty[idx] = tier->penalty(server, site);
       }
-      val[idx] = part_local[idx] + part_relative[idx] - part_penalty[idx] -
-                 options.add_cost_per_byte *
-                     static_cast<double>(system.site_bytes()[site]);
-      return;
-    }
-    if ((kind & kRepairPenalty) != 0) {
+    } else if ((kind & kRepairPenalty) != 0) {
       if (term_cache) {
         double* terms = &pen_terms[idx * m];
         double term = 0.0;
@@ -328,16 +330,9 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
       }
     }
     if ((kind & kRepairRelative) != 0) {
-      part_relative[idx] =
-          hybrid_relative_gain(system, result.placement, result.nearest, hit,
-                               flow.data(), server, site);
+      part_relative[idx] = columns.relative_gain(server, site);
     }
-    HybridBenefitParts parts;
-    parts.local_gain = part_local[idx];
-    parts.cache_penalty = part_penalty[idx];
-    parts.relative_gain = part_relative[idx];
-    val[idx] = parts.total() - options.add_cost_per_byte *
-                                   static_cast<double>(system.site_bytes()[site]);
+    set_value(idx, site);
   };
 
   // Initial build: evaluate every candidate once (this is the one full
@@ -490,20 +485,13 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
     const auto js = winner.site;
     const std::size_t ws_row = static_cast<std::size_t>(ws) * m;
 
-    // Benefit decomposition of the winner, against the pre-commit state.
-    HybridBenefitParts parts;
-    if (iteration_log != nullptr) {
-      if (tiered) {
-        const std::size_t widx = ws_row + js;
-        parts.local_gain = part_local[widx];
-        parts.cache_penalty = part_penalty[widx];
-        parts.relative_gain = part_relative[widx];
-      } else {
-        parts = hybrid_candidate_benefit_parts(system, result.placement,
-                                               result.nearest, states[ws], hit,
-                                               flow.data(), ws, js);
-      }
-    }
+    // Benefit decomposition of the winner, against the pre-commit state: a
+    // live candidate's cached parts are current (under kExact bitwise what
+    // a fresh evaluation would give).
+    const std::size_t widx = ws_row + js;
+    const double win_local = part_local[widx];
+    const double win_penalty = part_penalty[widx];
+    const double win_relative = part_relative[widx];
 
     std::vector<sys::ServerIndex> changed_servers;
     {
@@ -534,8 +522,8 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
         for (const sys::ServerIndex k : changed_servers) {
           if (k != ws) tier->on_cost_changed(k, js);
         }
-        columns->on_commit(result.nearest, flow, ws, js, changed_servers);
       }
+      columns.on_commit(result.nearest, flow, ws, js, changed_servers);
       result.cost_trajectory.push_back(current_cost());
     }
 
@@ -543,8 +531,7 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
       iteration_log->add_row(
           {static_cast<double>(iteration), static_cast<double>(ws),
            static_cast<double>(js), static_cast<double>(pending_candidates),
-           winner.benefit, parts.local_gain, parts.relative_gain,
-           parts.cache_penalty,
+           winner.benefit, win_local, win_relative, win_penalty,
            static_cast<double>(system.site_bytes()[js]),
            result.cost_trajectory.back(), pending_eval_ms});
     }
@@ -593,31 +580,40 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
                      static_cast<double>(marked.size()));
     }
 
-    // --- Batched re-evaluation / repair, parallel across servers, serial
-    // within a server (the WhatIf memo is per-state mutable).  Sorting makes
-    // the groups contiguous and the later heap pushes deterministic.
+    // --- Batched re-evaluation / repair.  Every marked candidate is touched
+    // exactly once and writes only its own books (see the file comment).
     obs::ScopedSpan reeval_span(spans, sp_reeval, "placement");
     reeval_span.arg("marked", static_cast<double>(marked.size()));
-    std::sort(marked.begin(), marked.end());
     if (t_eval != nullptr) eval_start = std::chrono::steady_clock::now();
-    std::vector<std::pair<std::size_t, std::size_t>> groups;
-    for (std::size_t b = 0; b < marked.size();) {
-      const std::size_t server = marked[b] / m;
-      std::size_t e = b + 1;
-      while (e < marked.size() && marked[e] / m == server) ++e;
-      groups.emplace_back(b, e);
-      b = e;
-    }
-    util::parallel_for(0, groups.size(), [&](std::size_t g) {
-      for (std::size_t t = groups[g].first; t < groups[g].second; ++t) {
-        const std::uint32_t idx = marked[t];
-        if ((mark_kind[idx] & kFull) != 0) {
-          evaluate(idx);
-        } else {
-          repair(idx, mark_kind[idx], js);
-        }
+    auto process = [&](std::size_t t) {
+      const std::uint32_t idx = marked[t];
+      if ((mark_kind[idx] & kFull) != 0) {
+        evaluate(idx);
+      } else {
+        repair(idx, mark_kind[idx], js);
       }
-    });
+    };
+    if (!tiered) {
+      util::parallel_for_dynamic(0, marked.size(), kBatchChunk, process);
+    } else {
+      // TierEvaluator rebuilds a server's tables lazily on first use, so a
+      // server's candidates must stay on one thread: sort into contiguous
+      // per-server groups and run the groups in parallel.
+      std::sort(marked.begin(), marked.end());
+      std::vector<std::pair<std::size_t, std::size_t>> groups;
+      for (std::size_t b = 0; b < marked.size();) {
+        const std::size_t server = marked[b] / m;
+        std::size_t e = b + 1;
+        while (e < marked.size() && marked[e] / m == server) ++e;
+        groups.emplace_back(b, e);
+        b = e;
+      }
+      util::parallel_for(0, groups.size(), [&](std::size_t g) {
+        for (std::size_t t = groups[g].first; t < groups[g].second; ++t) {
+          process(t);
+        }
+      });
+    }
     std::uint64_t batch_alive = 0;
     std::uint64_t batch_evals = 0;
     std::uint64_t batch_repairs = 0;

@@ -44,16 +44,6 @@ double hybrid_relative_gain(const sys::CdnSystem& system,
                             const double* miss_flow, sys::ServerIndex server,
                             sys::SiteIndex site);
 
-/// hybrid_candidate_benefit_parts with the penalty terms captured (see
-/// hybrid_cache_penalty).  The public overloads forward here with
-/// `penalty_terms == nullptr`, so there is exactly one benefit definition.
-HybridBenefitParts hybrid_benefit_parts_capture(
-    const sys::CdnSystem& system, const sys::ReplicaPlacement& placement,
-    const sys::NearestReplicaIndex& nearest,
-    const model::ServerCacheState& state, const std::vector<double>& hit,
-    const double* miss_flow, sys::ServerIndex server, sys::SiteIndex site,
-    double* penalty_terms);
-
 /// Materialises options.seed (if any) into `placement` and `states`, in the
 /// same row-major order for both engines.
 inline void apply_seed(const sys::CdnSystem& system,

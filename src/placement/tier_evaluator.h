@@ -31,9 +31,8 @@
 // logic), and the hit matrix / cost trajectory stay exact in every tier.
 //
 // Thread safety: tables are per-server and lazily rebuilt from mutable
-// state, so the evaluator is non-reentrant for the SAME server — exactly
-// the ServerCacheState::WhatIf contract the engines already honour by
-// partitioning candidate batches by server.
+// state, so the evaluator is non-reentrant for the SAME server; the engines
+// honour that by partitioning tier-mode candidate batches by server.
 
 #pragma once
 
@@ -129,10 +128,10 @@ class TierEvaluator {
   mutable std::vector<Table> tables_;
 };
 
-/// Transposed (site-major) copies of the relative-gain inputs.  The exact
-/// relative loop strides by M through four row-major matrices; these
-/// site-major columns make it a contiguous, vectorisable sweep over k — the
-/// other half of the per-candidate budget once the penalty is O(1).
+/// Transposed (site-major) copies of the relative-gain inputs.  The
+/// canonical relative loop strides by M through three row-major matrices;
+/// these site-major columns make it a contiguous sweep over k.  Every model
+/// tier of both hybrid engines' fast paths prices relative gains here.
 /// Maintained incrementally per commit: a commit of (ws, js) moves column
 /// js of the nearest costs (changed_servers rows only), row ws of the miss
 /// flows (one scatter across columns), and one replication bit.
@@ -158,10 +157,10 @@ struct RelativeColumns {
 
   /// The relative-gain term (lines 14-17) of candidate (server, site):
   /// sum over k != server, unreplicated, of
-  /// max(0, C(k, SN_j) - C(k, server)) * flow.  Equals
-  /// detail::hybrid_relative_gain up to floating-point summation order
-  /// (columns accumulate in the same ascending-k order, so it is in fact
-  /// bitwise identical).
+  /// max(0, C(k, SN_j) - C(k, server)) * flow.  Bitwise equal to
+  /// detail::hybrid_relative_gain: the columns hold the same doubles and
+  /// add the same products in the same ascending-k order.  The exact tier
+  /// of the incremental engine relies on that identity.
   double relative_gain(sys::ServerIndex server, sys::SiteIndex site) const;
 };
 

@@ -1,15 +1,19 @@
-// Minimal work-stealing-free thread pool plus static-partition parallel loops.
+// Minimal work-stealing-free thread pool plus parallel loops.
 //
-// The hybrid greedy algorithm evaluates O(M*N) candidate replicas per
-// iteration with identical per-candidate cost, so a static partition over a
-// fixed pool (the OpenMP `parallel for schedule(static)` idiom) is the right
-// shape; no dynamic load balancing is needed.  The loop drivers are
-// templates: the body is invoked directly (inlinable), with type erasure
-// paid once per submitted chunk — never per index.
+// Uniform-cost loops (the full candidate sweep of the hybrid greedy, the
+// simulator shards) use a static partition over a fixed pool — the OpenMP
+// `parallel for schedule(static)` idiom.  Loops whose per-index cost varies
+// widely (an incremental engine's invalidation batch mixes O(M) what-if
+// re-evaluations with cheap single-term repairs) use parallel_for_dynamic,
+// the `schedule(dynamic, chunk)` idiom: fixed chunks claimed from one
+// atomic counter.  The loop drivers are templates: the body is invoked
+// directly (inlinable), with type erasure paid once per submitted task —
+// never per index.
 
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -125,6 +129,44 @@ template <typename Body>
 void parallel_for_chunked(std::size_t begin, std::size_t end, const Body& body,
                           std::size_t grain = 1) {
   detail::parallel_chunks(ThreadPool::shared(), begin, end, grain, body);
+}
+
+/// Runs body(i) for i in [begin, end) with dynamic scheduling: the range is
+/// cut into fixed chunks of `chunk` indices that at most thread_count()
+/// tasks claim in turn from a shared atomic counter, so a run of expensive
+/// indices spreads over the pool instead of landing on one static slice.
+/// Which worker runs which index is unspecified; the body must not depend
+/// on it.  Blocks until complete; runs inline when there is one chunk or a
+/// single worker.
+template <typename Body>
+void parallel_for_dynamic(ThreadPool& pool, std::size_t begin,
+                          std::size_t end, std::size_t chunk,
+                          const Body& body) {
+  static_assert(std::is_invocable_v<const Body&, std::size_t>,
+                "loop body must be callable as body(i)");
+  if (begin >= end) return;
+  if (chunk == 0) chunk = 1;
+  const std::size_t chunks = (end - begin + chunk - 1) / chunk;
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&](std::size_t, std::size_t) {
+    for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
+         c < chunks; c = next.fetch_add(1, std::memory_order_relaxed)) {
+      const std::size_t lo = begin + c * chunk;
+      const std::size_t hi = std::min(end, lo + chunk);
+      for (std::size_t i = lo; i < hi; ++i) body(i);
+    }
+  };
+  // One drain task per worker (at most one per chunk); the pool's
+  // submit/wait_idle hand-off orders every body write before the return.
+  detail::parallel_chunks(pool, 0, std::min(chunks, pool.thread_count()), 1,
+                          drain);
+}
+
+/// parallel_for_dynamic over the shared pool.
+template <typename Body>
+void parallel_for_dynamic(std::size_t begin, std::size_t end,
+                          std::size_t chunk, const Body& body) {
+  parallel_for_dynamic(ThreadPool::shared(), begin, end, chunk, body);
 }
 
 }  // namespace cdn::util

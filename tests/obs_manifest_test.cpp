@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/obs/registry.h"
@@ -58,6 +60,19 @@ TEST(RunManifestTest, FinalizeMeasuresElapsedWall) {
   manifest.finalize();
   EXPECT_GE(manifest.wall_seconds, 0.0);
   EXPECT_GE(manifest.cpu_seconds, 0.0);
+#ifdef __unix__
+  EXPECT_GT(manifest.peak_rss_bytes, 0u);
+#endif
+}
+
+TEST(RunManifestTest, WallTimeCountsFromProcessStart) {
+  // Tools build their manifest after the timed work; the recorded wall time
+  // must still cover it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  RunManifest manifest = make_run_manifest("unit_test");
+  manifest.finalize();
+  EXPECT_GE(manifest.wall_seconds, 0.05);
+  EXPECT_GT(manifest.cpu_seconds, 0.0);
 #ifdef __unix__
   EXPECT_GT(manifest.peak_rss_bytes, 0u);
 #endif

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -361,6 +362,25 @@ TEST(PlacementEngineEquivalenceTest, HybridRandomizedSystems) {
         run_hybrid(*t.system, options, PlacementEngine::kIncremental);
     expect_equivalent(*t.system, ref, inc);
   }
+  // One system large enough that a commit's invalidation batch spans many
+  // dynamically scheduled chunks, so concurrent candidates share one
+  // server's ServerCacheState (the sanitizer job runs this under TSan).
+  SCOPED_TRACE("24 servers x 40 sites");
+  const auto t = TestSystem::make(24, 32, 8, 100, 0.1, 8.0, 5);
+  const EngineRun ref = run_hybrid(*t.system, {}, PlacementEngine::kReference);
+  const EngineRun inc =
+      run_hybrid(*t.system, {}, PlacementEngine::kIncremental);
+  expect_equivalent(*t.system, ref, inc);
+  const auto col = std::find(inc.log_columns.begin(), inc.log_columns.end(),
+                             "candidates");
+  ASSERT_NE(col, inc.log_columns.end());
+  const auto c = static_cast<std::size_t>(col - inc.log_columns.begin());
+  // Row r > 0 logs the live candidates re-priced by commit r - 1's batch.
+  double widest = 0.0;
+  for (std::size_t r = 1; r < inc.log_rows.size(); ++r) {
+    widest = std::max(widest, inc.log_rows[r][c]);
+  }
+  EXPECT_GE(widest, 128.0) << "batches too small to span several chunks";
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -276,13 +277,31 @@ TEST(TierEvaluatorTest, CheRejectsZeroSlotServer) {
   EXPECT_THROW(hybrid_greedy(*t.system, options), PreconditionError);
 }
 
-TEST(TierEvaluatorTest, RelativeColumnsMatchExactGain) {
-  const TierFixture f(PlacementModel::kClosedForm,
-                      TestSystem::make(5, 7, 2, 110, 0.1, 5.0, 23));
-  const std::vector<double> flow = cdn::placement::miss_flow_matrix(
-      *f.t.system, f.hit);
-  RelativeColumns columns;
-  columns.build(*f.t.system, f.placement, f.nearest, flow);
+/// Applies one commit of (server, site) to the fixture the way the
+/// incremental engine does — placement, nearest index, model state, the
+/// server's hit row and miss-flow row — and returns on_replica_added's
+/// changed-server list.
+std::vector<cdn::sys::ServerIndex> commit_replica(TierFixture& f,
+                                                  std::vector<double>& flow,
+                                                  std::size_t i,
+                                                  std::size_t j) {
+  const std::size_t m = f.t.system->site_count();
+  const auto server = static_cast<cdn::sys::ServerIndex>(i);
+  const auto site = static_cast<cdn::sys::SiteIndex>(j);
+  f.placement.add(server, site);
+  auto changed = f.nearest.on_replica_added(server, site);
+  f.states[i].replicate(static_cast<std::uint32_t>(j));
+  for (std::size_t k = 0; k < m; ++k) {
+    f.hit[i * m + k] = f.states[i].hit_ratio(static_cast<std::uint32_t>(k));
+  }
+  cdn::placement::refresh_miss_flow_row(*f.t.system, f.hit, server, flow);
+  return changed;
+}
+
+/// Every (server, site) of the columns against the canonical loop.  Same
+/// ascending-k accumulation order: bitwise identity, not NEAR.
+void expect_columns_match(const TierFixture& f, const RelativeColumns& columns,
+                          const std::vector<double>& flow) {
   const std::size_t n = f.t.system->server_count();
   const std::size_t m = f.t.system->site_count();
   for (std::size_t i = 0; i < n; ++i) {
@@ -292,10 +311,65 @@ TEST(TierEvaluatorTest, RelativeColumnsMatchExactGain) {
       const double exact = cdn::placement::detail::hybrid_relative_gain(
           *f.t.system, f.placement, f.nearest, f.hit, flow.data(), server,
           site);
-      // Same ascending-k accumulation order: bitwise identity, not NEAR.
       EXPECT_EQ(columns.relative_gain(server, site), exact)
           << "candidate (" << i << ", " << j << ")";
     }
+  }
+}
+
+/// Builds the columns after `seeds` commits, then replays `commits` more
+/// through on_commit, checking every candidate after each one.  Commits
+/// walk the N x M grid with a stride coprime to it, skipping cells that no
+/// longer fit, so they spread over servers and sites.
+void replay_relative_columns(std::size_t seeds, std::size_t commits) {
+  TierFixture f(PlacementModel::kClosedForm,
+                TestSystem::make(5, 7, 2, 110, 0.3, 5.0, 23));
+  const std::size_t n = f.t.system->server_count();
+  const std::size_t m = f.t.system->site_count();
+  std::vector<double> flow =
+      cdn::placement::miss_flow_matrix(*f.t.system, f.hit);
+  std::size_t cell = 0;
+  auto next_feasible = [&]() -> std::optional<std::size_t> {
+    for (std::size_t tries = 0; tries < n * m; ++tries) {
+      cell = (cell + 7) % (n * m);
+      if (f.placement.can_add(static_cast<cdn::sys::ServerIndex>(cell / m),
+                              static_cast<cdn::sys::SiteIndex>(cell % m))) {
+        return cell;
+      }
+    }
+    return std::nullopt;
+  };
+  for (std::size_t s = 0; s < seeds; ++s) {
+    const auto c = next_feasible();
+    ASSERT_TRUE(c.has_value()) << "seed commit " << s << " does not fit";
+    commit_replica(f, flow, *c / m, *c % m);
+  }
+  RelativeColumns columns;
+  columns.build(*f.t.system, f.placement, f.nearest, flow);
+  expect_columns_match(f, columns, flow);
+  for (std::size_t s = 0; s < commits; ++s) {
+    SCOPED_TRACE("after commit " + std::to_string(s));
+    const auto c = next_feasible();
+    ASSERT_TRUE(c.has_value()) << "commit " << s << " does not fit";
+    const auto changed = commit_replica(f, flow, *c / m, *c % m);
+    columns.on_commit(f.nearest, flow,
+                      static_cast<cdn::sys::ServerIndex>(*c / m),
+                      static_cast<cdn::sys::SiteIndex>(*c % m), changed);
+    expect_columns_match(f, columns, flow);
+  }
+}
+
+TEST(TierEvaluatorTest, RelativeColumnsMatchExactGain) {
+  // The exact tier of the incremental engine prices every relative gain
+  // from these columns, so identity must survive on_commit maintenance,
+  // from an empty start and from a seeded one.
+  {
+    SCOPED_TRACE("empty start");
+    replay_relative_columns(0, 10);
+  }
+  {
+    SCOPED_TRACE("seeded start");
+    replay_relative_columns(4, 6);
   }
 }
 

@@ -5,7 +5,11 @@
 #include "src/util/error.h"
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "src/util/thread_pool.h"
@@ -138,6 +142,46 @@ TEST(ParallelForChunkedTest, SingleWorkerRunsInline) {
                                   });
   ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(ParallelForDynamicTest, CoversExactRangeOnce) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> touched(1009);  // prime: uneven last chunk
+  cdn::util::parallel_for_dynamic(pool, 3, touched.size(), 32,
+                                  [&](std::size_t i) {
+                                    touched[i].fetch_add(1);
+                                  });
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    EXPECT_EQ(touched[i].load(), i < 3 ? 0 : 1) << "index " << i;
+  }
+}
+
+TEST(ParallelForDynamicTest, SpreadsAnExpensivePrefixOverWorkers) {
+  // The first chunks are slow; a static split would hand all of them to one
+  // worker, dynamic chunks let the others pick them up.
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::set<std::thread::id> prefix_threads;
+  cdn::util::parallel_for_dynamic(pool, 0, 256, 8, [&](std::size_t i) {
+    if (i < 64) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      const std::lock_guard<std::mutex> lock(mu);
+      prefix_threads.insert(std::this_thread::get_id());
+    }
+  });
+  EXPECT_GE(prefix_threads.size(), 2u);
+}
+
+TEST(ParallelForDynamicTest, SingleChunkAndEmptyRangeRunInline) {
+  ThreadPool pool(4);
+  std::vector<std::size_t> order;  // unsynchronised: must run inline
+  cdn::util::parallel_for_dynamic(pool, 0, 10, 16, [&](std::size_t i) {
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), 10u);
+  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+  cdn::util::parallel_for_dynamic(pool, 5, 5, 16,
+                                  [&](std::size_t) { ADD_FAILURE(); });
 }
 
 TEST(ParallelForTest, NestedSubmissionDoesNotDeadlock) {

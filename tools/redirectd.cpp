@@ -223,6 +223,7 @@ int main(int argc, char** argv) {
 
     if (want_metrics) {
       obs::RunManifest manifest = obs::make_run_manifest("redirectd");
+      manifest.finalize();
       obs::write_json_file(metrics, cli.get_string("metrics-out"),
                            &manifest);
     }
