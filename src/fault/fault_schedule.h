@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -167,6 +168,14 @@ class FaultTimeline {
 
   /// Transitions applied so far.
   std::uint64_t transitions() const noexcept { return transitions_; }
+
+  /// Time of the next transition advance() has not applied yet, or
+  /// UINT64_MAX once none is left.  The state is constant until then.
+  std::uint64_t next_transition_time() const noexcept {
+    return next_ < transitions_sorted_.size()
+               ? transitions_sorted_[next_].time
+               : std::numeric_limits<std::uint64_t>::max();
+  }
 
  private:
   struct Transition {

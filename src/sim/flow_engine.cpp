@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/model/steady_state.h"
-#include "src/obs/scoped_timer.h"
 #include "src/sim/sim_internal.h"
 #include "src/util/error.h"
 
@@ -48,25 +47,8 @@ SimulationReport simulate_flow(const sys::CdnSystem& system,
 
   obs::Registry* const metrics = config.metrics;
   const std::string& prefix = config.metrics_prefix;
-  obs::TimerStat* const t_setup =
-      metrics ? &metrics->timer(prefix + "phase/setup") : nullptr;
-  obs::TimerStat* const t_run =
-      metrics ? &metrics->timer(prefix + "phase/run") : nullptr;
-  obs::TimerStat* const t_report =
-      metrics ? &metrics->timer(prefix + "phase/report") : nullptr;
-
-  obs::SpanTracer* const spans = config.spans;
-  const char* sp_setup = nullptr;
-  const char* sp_run = nullptr;
-  const char* sp_report = nullptr;
-  if (spans != nullptr) {
-    sp_setup = spans->intern(prefix + "setup");
-    sp_run = spans->intern(prefix + "run");
-    sp_report = spans->intern(prefix + "report");
-  }
-
-  obs::ScopedTimer setup_timer(t_setup);
-  obs::ScopedSpan setup_span(spans, sp_setup, "sim");
+  std::optional<detail::PhaseScope> phase;
+  phase.emplace(config, "setup");
   const auto run_start = std::chrono::steady_clock::now();
 
   // --- Hit-ratio model tier: an N x M matrix, (1 - lambda)-scaled. ---
@@ -120,10 +102,7 @@ SimulationReport simulate_flow(const sys::CdnSystem& system,
                     (occupancy ? occupancy->clamped_evaluations() : 0);
   }
 
-  setup_timer.stop();
-  setup_span.stop();
-  obs::ScopedTimer run_timer(t_run);
-  obs::ScopedSpan run_span(spans, sp_run, "sim");
+  phase.emplace(config, "run");
 
   const std::uint64_t total = config.total_requests;
   const double total_demand = demand.total();
@@ -211,10 +190,7 @@ SimulationReport simulate_flow(const sys::CdnSystem& system,
   // Tiny runs can round every weight to zero; keep the CDF queryable.
   if (report.latency_cdf.empty()) report.latency_cdf.add(lat_sum / mass, 1);
 
-  run_timer.stop();
-  run_span.stop();
-  obs::ScopedTimer report_timer(t_report);
-  obs::ScopedSpan report_span(spans, sp_report, "sim");
+  phase.emplace(config, "report");
 
   // Steady state has no warm-up: the whole run is measured.
   report.total_requests = total;

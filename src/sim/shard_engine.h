@@ -3,8 +3,11 @@
 // The reference stream is i.i.d. (Section 3.2), so it decomposes exactly by
 // first-hop server: partition the servers into S shards, split the total
 // request count multinomially over the shards' demand masses, and run each
-// shard's conditional stream against shard-local state (caches, window
-// accumulators, cause counters, latency sketch) on a thread pool.  Shard
+// shard's conditional stream against shard-local state (caches, a Tally
+// with its latency sketch, window accumulators) on a thread pool.  Requests
+// are served and accounted by the shared request kernel
+// (request_kernel.h), exactly as in the sequential engine; this file only
+// plans shards, chunks their streams, places barriers and merges.  Shard
 // results merge in fixed shard-index order, so the report is a
 // deterministic function of (seed, shards) — the thread count only changes
 // the execution schedule, never a result bit.

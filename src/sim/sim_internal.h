@@ -1,23 +1,21 @@
-// Internals shared by the sequential simulator (simulator.cpp) and the
-// parallel sharded engine (shard_engine.cpp): the measured-window
-// accumulator and its series flush, the healthy-mode per-request step, the
-// end-of-run metric publication, and the seed derivation of per-shard RNG
-// substreams.  Not part of the public sim API.
+// Internals shared by the event engines (simulator.cpp, shard_engine.cpp)
+// and the flow engine: the measured-window accumulator and its series
+// flush, the phase timer/span scope, the end-of-run metric publication, and
+// the seed derivation of per-shard RNG substreams.  Per-request semantics
+// live in request_kernel.h.  Not part of the public sim API.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <thread>
 
-#include "src/cache/cache_policy.h"
 #include "src/obs/registry.h"
-#include "src/obs/trace.h"
-#include "src/placement/placement_result.h"
+#include "src/obs/scoped_timer.h"
+#include "src/obs/span.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
-#include "src/workload/request_stream.h"
-#include "src/workload/site_catalog.h"
 
 namespace cdn::sim::detail {
 
@@ -68,8 +66,10 @@ struct WindowSeries {
   obs::Series* availability = nullptr;
   obs::Series* degraded_mean_latency_ms = nullptr;
 
-  /// Resolves the healthy-run series under `prefix` in `metrics`.
-  void resolve(obs::Registry& metrics, const std::string& prefix) {
+  /// Resolves the series under `prefix` in `metrics`; the fault series
+  /// only with `faults_active`, keeping healthy snapshots free of them.
+  void resolve(obs::Registry& metrics, const std::string& prefix,
+               bool faults_active) {
     requests = &metrics.series(prefix + "window/requests");
     local = &metrics.series(prefix + "window/local");
     eligible = &metrics.series(prefix + "window/eligible");
@@ -79,6 +79,13 @@ struct WindowSeries {
     local_ratio = &metrics.series(prefix + "window/local_ratio");
     mean_hops = &metrics.series(prefix + "window/mean_hops");
     mean_latency_ms = &metrics.series(prefix + "window/mean_latency_ms");
+    if (faults_active) {
+      failed = &metrics.series(prefix + "window/failed");
+      failover = &metrics.series(prefix + "window/failover");
+      availability = &metrics.series(prefix + "window/availability");
+      degraded_mean_latency_ms =
+          &metrics.series(prefix + "window/degraded_mean_latency_ms");
+    }
   }
 
   void flush(const WindowAccumulator& win) const {
@@ -110,63 +117,25 @@ struct WindowSeries {
   }
 };
 
-/// Outcome of one healthy-mode (no faults) request.
-struct HealthyOutcome {
-  double hops = 0.0;
-  bool served_locally = false;
-  bool cache_eligible = false;
-  bool cache_hit = false;
-  obs::EventCause cause = obs::EventCause::kReplica;
-};
+/// Times one engine phase into the "phase/<name>" timer and a "<name>"
+/// span, both under the run's metrics prefix and both optional.
+class PhaseScope {
+ public:
+  PhaseScope(const SimulationConfig& config, const char* name)
+      : timer_(config.metrics != nullptr
+                   ? &config.metrics->timer(config.metrics_prefix + "phase/" +
+                                            name)
+                   : nullptr),
+        span_(config.spans,
+              config.spans != nullptr
+                  ? config.spans->intern(config.metrics_prefix + name)
+                  : nullptr,
+              "sim") {}
 
-/// Serves one request when every server is up: a replicated site or a cache
-/// hit stays local, anything else pays the precomputed redirect cost.  The
-/// RNG draw order (one bernoulli per non-replicated request, nothing for
-/// replicated ones) is the contract that keeps the sequential path
-/// bit-identical and the shard decomposition exact.
-inline HealthyOutcome healthy_step(const workload::SiteCatalog& catalog,
-                                   const placement::PlacementResult& result,
-                                   cache::CachePolicy& cache,
-                                   util::Rng& lambda_rng,
-                                   const workload::Request& req,
-                                   StalenessMode staleness) {
-  const auto server = static_cast<sys::ServerIndex>(req.server);
-  const auto site = static_cast<sys::SiteIndex>(req.site);
-  HealthyOutcome o;
-  if (result.placement.is_replicated(server, site)) {
-    // Replicas are always consistent (the CDN pushes invalidations to
-    // them); even flagged requests are served locally.
-    o.served_locally = true;
-    return o;
-  }
-  const bool flagged =
-      lambda_rng.bernoulli(catalog.uncacheable_fraction(req.site));
-  const cache::ObjectKey key = catalog.object_id(req.site, req.rank);
-  const std::uint64_t bytes = catalog.object_bytes(req.site, req.rank);
-  const double redirect = result.nearest.cost(server, site);
-  if (flagged && staleness == StalenessMode::kUncacheable) {
-    // Never cached; straight to the nearest copy.
-    o.hops = redirect;
-    o.cause = obs::EventCause::kUncacheable;
-  } else if (flagged) {
-    // kRefresh: must touch the remote copy; the (re-)fetched object stays
-    // cached with updated recency.
-    cache.access(key, bytes);
-    o.hops = redirect;
-    o.cause = obs::EventCause::kStaleRefresh;
-  } else {
-    o.cache_eligible = true;
-    o.cache_hit = cache.access(key, bytes);
-    if (o.cache_hit) {
-      o.served_locally = true;
-      o.cause = obs::EventCause::kCacheHit;
-    } else {
-      o.hops = redirect;
-      o.cause = obs::EventCause::kCacheMiss;
-    }
-  }
-  return o;
-}
+ private:
+  obs::ScopedTimer timer_;
+  obs::ScopedSpan span_;
+};
 
 /// End-of-run summary metrics, shared verbatim by both engines so a
 /// parallel snapshot has the same layout as a sequential one.

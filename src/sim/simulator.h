@@ -44,8 +44,8 @@ enum class StalenessMode {
 
 /// Which evaluation engine simulate() runs.
 enum class SimEngine {
-  /// Per-request (event-level) simulation — sequential reference loop or
-  /// the parallel sharded engine, per `threads`.  The default.
+  /// Per-request (event-level) simulation — the sequential engine or the
+  /// parallel sharded engine, per `threads`.  The default.
   kEvent,
   /// Flow-level analytical fast path: summary metrics computed from the
   /// demand matrix, the placement and a steady-state hit-ratio model with
@@ -117,7 +117,7 @@ struct SimulationConfig {
   // --- Parallel sharded engine (see docs/PERFORMANCE.md) ---
 
   /// Simulation worker threads.  1 (the default) runs the sequential
-  /// reference engine, bit-identical to the pre-parallel simulator; 0 uses
+  /// engine, bit-identical to the pre-parallel simulator; 0 uses
   /// one thread per hardware thread.  Fault schedules, trace replay and
   /// trace sinks need the global request clock, so they force the
   /// sequential engine regardless of this knob.
@@ -226,7 +226,7 @@ struct SimulationReport {
 
   std::uint64_t measured_requests = 0;
   std::uint64_t total_requests = 0;
-  /// Shards the engine ran (1 = sequential reference engine).
+  /// Shards the engine ran (1 = sequential engine).
   std::size_t shards_used = 1;
 
   // --- Degraded-mode accounting (all default on a healthy run) ---

@@ -68,8 +68,8 @@ class RequestStream {
 
   /// Fills `out` (resized to `count`) with the next `count` requests.
   /// Draws exactly the same RNG sequence as `count` calls to next() — the
-  /// contract that keeps the batched simulator paths byte-identical to the
-  /// per-request reference loop.
+  /// contract that keeps the batched simulator byte-identical to a
+  /// request-at-a-time loop, and lets it mix batches with next() draws.
   void next_batch(RequestBatch& out, std::size_t count);
 
   const SiteCatalog& catalog() const noexcept { return *catalog_; }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "src/fault/fault_schedule.h"
 #include "src/util/error.h"
 
@@ -182,6 +186,67 @@ TEST(FaultTimelineTest, OriginOutagesAreIndependentOfServers) {
   EXPECT_TRUE(t.origin_up(2));
   // Origin recoveries are not server cold restarts.
   EXPECT_TRUE(t.just_recovered().empty());
+}
+
+constexpr std::uint64_t kNoTransition =
+    std::numeric_limits<std::uint64_t>::max();
+
+TEST(FaultTimelineTest, NextTransitionAtTimeZero) {
+  FaultSchedule s;
+  s.add_server_outage(0, 0, 5);
+  FaultTimeline t(s, 1, 1);
+  EXPECT_EQ(t.next_transition_time(), 0u);
+  t.advance(0);
+  EXPECT_FALSE(t.server_up(0));
+  EXPECT_EQ(t.next_transition_time(), 5u);
+}
+
+TEST(FaultTimelineTest, NextTransitionOverBackToBackOutages) {
+  // The end of [10, 20) and the begin of [20, 30) share one instant: one
+  // advance applies both, and the next transition is the final end.
+  FaultSchedule s;
+  s.add_server_outage(0, 10, 20);
+  s.add_server_outage(0, 20, 30);
+  FaultTimeline t(s, 1, 1);
+  EXPECT_EQ(t.next_transition_time(), 10u);
+  t.advance(10);
+  EXPECT_EQ(t.next_transition_time(), 20u);
+  t.advance(20);
+  EXPECT_FALSE(t.server_up(0));
+  EXPECT_EQ(t.next_transition_time(), 30u);
+}
+
+TEST(FaultTimelineTest, NextTransitionOverOverlappingIntervals) {
+  FaultSchedule s;
+  s.add_server_outage(0, 10, 40);
+  s.add_server_outage(0, 20, 30);
+  s.add_link_degradation(1, 15, 25, 2.0);
+  s.add_demand_surge(0, 12, 35, 4.0);
+  FaultTimeline t(s, 2, 1);
+  std::vector<std::uint64_t> seen;
+  for (std::uint64_t now = 0; now < 50; ++now) {
+    if (t.next_transition_time() == now) seen.push_back(now);
+    t.advance(now);
+    // Between transitions the state cannot change.
+    EXPECT_GT(t.next_transition_time(), now);
+  }
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{10, 12, 15, 20, 25, 30, 35,
+                                              40}));
+}
+
+TEST(FaultTimelineTest, NextTransitionAfterTheLastIsMax) {
+  FaultSchedule s;
+  s.add_origin_outage(0, 3, 7);
+  FaultTimeline t(s, 1, 1);
+  t.advance(6);
+  EXPECT_EQ(t.next_transition_time(), 7u);
+  t.advance(7);
+  EXPECT_EQ(t.next_transition_time(), kNoTransition);
+  t.advance(1'000);
+  EXPECT_EQ(t.next_transition_time(), kNoTransition);
+
+  FaultTimeline none(FaultSchedule{}, 1, 1);
+  EXPECT_EQ(none.next_transition_time(), kNoTransition);
 }
 
 }  // namespace

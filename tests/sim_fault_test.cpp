@@ -6,12 +6,14 @@
 
 #include <cmath>
 
+#include "src/cache/cache_factory.h"
 #include "src/fault/fault_schedule.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/placement/fixed_split.h"
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
+#include "src/sim/sim_checkpoint.h"
 #include "src/sim/simulator.h"
 #include "src/util/error.h"
 #include "tests/test_support.h"
@@ -74,6 +76,37 @@ TEST(SimFaultTest, EmptyScheduleIsBitIdenticalToHealthyRun) {
   EXPECT_EQ(with_empty.availability, 1.0);
   EXPECT_EQ(with_empty.failed_requests, 0u);
   EXPECT_EQ(with_empty.fault_transitions, 0u);
+}
+
+TEST(SimFaultTest, InertScheduleIsBitIdenticalToHealthyRun) {
+  // A non-empty schedule whose only outage starts after the run ends takes
+  // the fault path for every request without ever changing its outcome, so
+  // both request-kernel instantiations must agree bit for bit.
+  auto t = TestSystem::make();
+  t.catalog->set_uncacheable_fraction(0.2);
+  const auto placement = hybrid_greedy(*t.system);
+  FaultSchedule inert;
+  inert.add_server_outage(0, 150'000, 160'000);
+  for (const auto policy :
+       {cdn::cache::PolicyKind::kLru, cdn::cache::PolicyKind::kFifo,
+        cdn::cache::PolicyKind::kLfu, cdn::cache::PolicyKind::kClock,
+        cdn::cache::PolicyKind::kDelayedLru}) {
+    for (const auto staleness : {cdn::sim::StalenessMode::kRefresh,
+                                 cdn::sim::StalenessMode::kUncacheable}) {
+      SCOPED_TRACE(cdn::cache::policy_name(policy));
+      auto cfg = quick_sim(150'000);
+      cfg.seed = 29;
+      cfg.policy = policy;
+      cfg.staleness = staleness;
+      const auto healthy = simulate(*t.system, placement, cfg);
+      cfg.faults = &inert;
+      const auto faulted = simulate(*t.system, placement, cfg);
+      EXPECT_EQ(cdn::sim::report_digest(healthy),
+                cdn::sim::report_digest(faulted));
+      EXPECT_EQ(faulted.fault_transitions, 0u);
+    }
+  }
+  t.catalog->set_uncacheable_fraction(0.0);
 }
 
 TEST(SimFaultTest, SameSeedAndScheduleIsDeterministic) {
