@@ -329,9 +329,9 @@ BENCHMARK(BM_CandidateBenefit)
     ->Arg(0)   // elementwise products recomputed per call
     ->Arg(1);  // precomputed miss-flow matrix
 
-// Whole hybrid runs per engine; items = candidate evaluations, so
-// items_per_second compares evaluation throughput and iterations compares
-// wall-clock.  Arg 0 = engine (0 reference, 1 incremental).
+// Whole hybrid runs; items = candidate evaluations, so items_per_second is
+// evaluation throughput.  The full re-evaluation baseline is measured (and
+// equivalence-gated) by bench_placement_scaling.
 void BM_HybridGreedyIteration(benchmark::State& state) {
   core::ScenarioConfig cfg;
   cfg.server_count = 48;
@@ -341,14 +341,10 @@ void BM_HybridGreedyIteration(benchmark::State& state) {
   cfg.seed = 2005;
   const core::Scenario scenario(cfg);
 
-  const auto engine = state.range(0) == 0
-                          ? placement::PlacementEngine::kReference
-                          : placement::PlacementEngine::kIncremental;
   std::int64_t candidates = 0;
   for (auto _ : state) {
     obs::Registry registry;
     placement::HybridGreedyOptions options;
-    options.engine = engine;
     options.metrics = &registry;
     benchmark::DoNotOptimize(
         placement::hybrid_greedy(scenario.system(), options));
@@ -359,10 +355,7 @@ void BM_HybridGreedyIteration(benchmark::State& state) {
   }
   state.SetItemsProcessed(candidates);
 }
-BENCHMARK(BM_HybridGreedyIteration)
-    ->Arg(0)   // reference engine
-    ->Arg(1)   // incremental lazy-heap engine
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HybridGreedyIteration)->Unit(benchmark::kMillisecond);
 
 void BM_QuantileSketchAdd(benchmark::State& state) {
   util::QuantileSketch sketch(0.005);

@@ -3,7 +3,7 @@
 //
 // Builds the same deterministic ring systems as bench_placement_scaling and
 // sweeps N in {64, 256, 512} x M in {64, 256} x placement-model tiers.  For
-// every swept (N, M) it runs hybrid_greedy (kIncremental) three times and
+// every swept (N, M) it runs hybrid_greedy three times and
 // HARD-GATES (exit 1) the tentpole acceptance criteria:
 //
 //   * final-cost parity   — each cheap tier's final predicted cost within
@@ -115,7 +115,6 @@ TierRun run_tier(const sys::CdnSystem& system, placement::PlacementModel tier,
                  std::size_t max_replicas) {
   obs::Registry registry;
   placement::HybridGreedyOptions options;
-  options.engine = placement::PlacementEngine::kIncremental;
   options.placement_model = tier;
   options.max_replicas = max_replicas;
   options.metrics = &registry;
@@ -255,7 +254,6 @@ int main(int argc, char** argv) {
     std::optional<placement::PlacementResult> baseline;
     if (check_identity) {
       placement::HybridGreedyOptions options;
-      options.engine = placement::PlacementEngine::kIncremental;
       options.max_replicas = max_replicas;
       baseline.emplace(placement::hybrid_greedy(system, options));
     }

@@ -1,13 +1,14 @@
-// Placement-engine scaling benchmark — reference vs incremental lazy-greedy.
+// Placement-engine scaling benchmark — Figure-2 oracle vs incremental
+// lazy-greedy.
 //
 // Builds a deterministic N-server / M-site system (ring server topology,
 // varied primary distances — no random topology generation, so the bench
-// measures placement alone) and runs hybrid_greedy twice: once with the
-// kReference engine (full O(N*M) re-evaluation every iteration) and once
-// with the kIncremental lazy-heap engine.  The two must agree bitwise on
-// the placement and cost trajectory; the bench asserts that before it
-// reports anything, so a speedup number can never come from a divergent
-// answer.
+// measures placement alone) and runs the hybrid greedy twice: once as the
+// reference oracle of tests/reference_placement.* (full O(N*M)
+// re-evaluation every iteration) and once as the product's hybrid_greedy()
+// (the lazy-heap engine).  The two must agree bitwise on the placement and
+// cost trajectory; the bench asserts that before it reports anything, so a
+// speedup number can never come from a divergent answer.
 //
 // Emits a schema-versioned BENCH_placement.json artifact (see
 // bench/bench_artifact.h) with an embedded provenance manifest, keyed:
@@ -43,6 +44,7 @@
 #include "src/util/table.h"
 #include "src/workload/demand.h"
 #include "src/workload/site_catalog.h"
+#include "tests/reference_placement.h"
 
 namespace {
 
@@ -110,18 +112,28 @@ struct EngineRun {
   double candidates = 0.0;
 };
 
-EngineRun run_engine(const sys::CdnSystem& system,
-                     placement::PlacementEngine engine) {
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+EngineRun run_reference(const sys::CdnSystem& system) {
+  const auto start = std::chrono::steady_clock::now();
+  test::ReferencePlacement ref = test::reference_hybrid_greedy(system);
+  EngineRun run{std::move(ref.result)};
+  run.wall_ms = ms_since(start);
+  run.candidates = static_cast<double>(ref.candidates);
+  return run;
+}
+
+EngineRun run_incremental(const sys::CdnSystem& system) {
   obs::Registry registry;
   placement::HybridGreedyOptions options;
-  options.engine = engine;
   options.metrics = &registry;
   const auto start = std::chrono::steady_clock::now();
-  auto result = placement::hybrid_greedy(system, options);
-  const auto stop = std::chrono::steady_clock::now();
-  EngineRun run{std::move(result)};
-  run.wall_ms =
-      std::chrono::duration<double, std::milli>(stop - start).count();
+  EngineRun run{placement::hybrid_greedy(system, options)};
+  run.wall_ms = ms_since(start);
   if (const auto* c =
           registry.find_counter("placement/hybrid/candidates_evaluated")) {
     run.candidates = static_cast<double>(c->value());
@@ -183,10 +195,8 @@ int main(int argc, char** argv) {
                                        /*seed=*/2005);
   const sys::CdnSystem& system = *bench.system;
 
-  const auto reference =
-      run_engine(system, placement::PlacementEngine::kReference);
-  const auto incremental =
-      run_engine(system, placement::PlacementEngine::kIncremental);
+  const auto reference = run_reference(system);
+  const auto incremental = run_incremental(system);
 
   if (!equivalent(system, reference, incremental)) {
     std::cerr << "engines diverged; refusing to report timings\n";

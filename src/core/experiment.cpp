@@ -12,12 +12,9 @@
 namespace cdn::core {
 
 MechanismSpec replication_mechanism(obs::Registry* metrics,
-                                    obs::SpanTracer* spans,
-                                    placement::PlacementModel placement_model) {
-  return {"replication",
-          [metrics, spans, placement_model](const sys::CdnSystem& s) {
+                                    obs::SpanTracer* spans) {
+  return {"replication", [metrics, spans](const sys::CdnSystem& s) {
             placement::GreedyGlobalOptions options;
-            options.placement_model = placement_model;
             options.metrics = metrics;
             options.metrics_prefix = "placement/replication/";
             options.spans = spans;

@@ -31,10 +31,8 @@ struct MechanismSpec {
 /// "placement/<name>/" (mechanisms without tunable placement internals
 /// ignore it); passing a span tracer makes it emit iteration spans under
 /// the same prefix.
-MechanismSpec replication_mechanism(
-    obs::Registry* metrics = nullptr, obs::SpanTracer* spans = nullptr,
-    placement::PlacementModel placement_model =
-        placement::PlacementModel::kExact);
+MechanismSpec replication_mechanism(obs::Registry* metrics = nullptr,
+                                    obs::SpanTracer* spans = nullptr);
 MechanismSpec caching_mechanism();
 MechanismSpec hybrid_mechanism(obs::Registry* metrics = nullptr,
                                obs::SpanTracer* spans = nullptr,

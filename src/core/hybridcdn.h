@@ -42,7 +42,6 @@
 #include "src/placement/fixed_split.h"
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
-#include "src/placement/local_search.h"
 #include "src/redirect/client_population.h"
 #include "src/redirect/server_selection.h"
 #include "src/sim/consistency.h"

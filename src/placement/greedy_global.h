@@ -15,23 +15,11 @@
 #include "src/cdn/system.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
-#include "src/placement/model_support.h"
 #include "src/placement/placement_result.h"
 
 namespace cdn::placement {
 
 struct GreedyGlobalOptions {
-  /// Accepted for CLI symmetry with hybrid_greedy, but a documented no-op:
-  /// the greedy-global objective is model-free (no Eq. 1/Eq. 2 in the
-  /// benefit), so every tier prices candidates identically
-  /// (invariance is test-enforced).
-  PlacementModel placement_model = PlacementModel::kExact;
-  /// Candidate-evaluation engine.  A commit of (i*, j*) only changes the
-  /// inputs of column-j* candidates (the benefit reads nothing outside its
-  /// own site column), so the incremental engine re-evaluates N candidates
-  /// per commit instead of N*M; byte-identical results (test-enforced).
-  PlacementEngine engine = PlacementEngine::kIncremental;
-
   /// Optional cap on replicas per run (0 = unlimited); used by tests and
   /// by the fixed-split scheme indirectly through storage budgets.
   std::size_t max_replicas = 0;
@@ -46,6 +34,23 @@ struct GreedyGlobalOptions {
   /// one span per committed replica.
   obs::SpanTracer* spans = nullptr;
 };
+
+/// Benefit of replicating `site` at `server` under pure replication (the
+/// header comment's formula).  Reads only column `site` of the nearest
+/// index and the placement, so a commit of (i*, j*) changes the inputs of
+/// column-j* candidates only: the engine re-evaluates N candidates per
+/// commit instead of N*M, byte-identical to re-evaluating every candidate
+/// (test-enforced against tests/reference_placement.*).
+double replication_benefit(const sys::CdnSystem& system,
+                           const sys::ReplicaPlacement& placement,
+                           const sys::NearestReplicaIndex& nearest,
+                           sys::ServerIndex server, sys::SiteIndex site);
+
+/// Fills a pure-replication result from its cost trajectory: all-zero
+/// modelled hits, caching disabled, predicted cost = the last trajectory
+/// entry, replicas_created = the placement's replica count.
+void finalize_replication_result(const sys::CdnSystem& system,
+                                 PlacementResult& result);
 
 /// Runs greedy-global with each server's full storage budget available for
 /// replicas.  The returned result has all-zero modelled hit ratios (pure

@@ -55,13 +55,6 @@ struct HybridGreedyOptions {
   /// tier's ordering everywhere else.  Ignored under kExact.
   double tier_fallback_margin = 0.1;
 
-  /// Candidate-evaluation engine.  kIncremental (default) runs the lazy
-  /// heap + sound-invalidation engine; kReference re-evaluates everything
-  /// every iteration.  The two are byte-identical in placement, cost
-  /// trajectory and commit order (test-enforced); kReference exists as the
-  /// oracle and the bench baseline.
-  PlacementEngine engine = PlacementEngine::kIncremental;
-
   /// Optional cap on replicas (0 = unlimited).
   std::size_t max_replicas = 0;
 
@@ -83,9 +76,9 @@ struct HybridGreedyOptions {
   std::string metrics_prefix = "placement/hybrid/";
 
   /// Span tracer (non-owning; null = no spans).  Each committed replica
-  /// gets an iteration span; the incremental engine also emits heap
-  /// re-evaluation/repair spans, invalidation instants and a heap-size
-  /// counter track (see docs/OBSERVABILITY.md).
+  /// gets an iteration span, plus heap re-evaluation/repair spans,
+  /// invalidation instants and a heap-size counter track (see
+  /// docs/OBSERVABILITY.md).
   obs::SpanTracer* spans = nullptr;
 };
 

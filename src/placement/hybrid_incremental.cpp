@@ -1,8 +1,8 @@
-// The incremental lazy-heap engine behind HybridGreedyOptions::engine ==
-// kIncremental.
+// The incremental lazy-heap engine behind hybrid_greedy().
 //
-// The reference engine re-evaluates every feasible (server, site) candidate
-// on every iteration — Theta(N*M) evaluations of O(N + M) each per commit.
+// Figure 2 read literally re-evaluates every feasible (server, site)
+// candidate on every iteration — Theta(N*M) evaluations of O(N + M) each
+// per commit (the oracle in tests/reference_placement.* does exactly that).
 // But a commit of (i*, j*) only changes the inputs of a small set of
 // candidates, and for most of them only ONE of the three benefit terms:
 //
@@ -39,17 +39,18 @@
 //
 // Everything else keeps its cached benefit.  Cached values live in a lazy
 // max-heap ordered (benefit desc, server asc, site asc) — exactly the
-// reference's winner tie-break — with per-candidate version counters for
+// full scan's winner tie-break — with per-candidate version counters for
 // lazy deletion.  Invalidated candidates are re-evaluated in one parallel
 // batch per commit with the same term definitions and the same miss-flow
-// matrix as the reference, so every evaluated double is bit-identical and
-// the two engines produce byte-identical placements, cost trajectories and
-// commit orders.  Under kExact the batch is flat: fixed chunks of the
-// marked list go to whichever worker is free, because candidate (i, j) is
-// the only writer of its own outputs and of slot j of server i's WhatIf
-// memo, and everything else it reads is immutable during the batch.  The
-// heap is then fed serially in marked order; since the winner is fixed by
-// the total order above, results do not depend on the thread count.
+// matrix as the full scan, so every evaluated double is bit-identical and
+// the engine and the oracle produce byte-identical placements, cost
+// trajectories and commit orders.  Under kExact the batch is flat: fixed
+// chunks of the marked list go to whichever worker is free, because
+// candidate (i, j) is the only writer of its own outputs and of slot j of
+// server i's WhatIf memo, and everything else it reads is immutable during
+// the batch.  The heap is then fed serially in marked order; since the
+// winner is fixed by the total order above, results do not depend on the
+// thread count.
 //
 // Feasibility is monotone (server budgets only shrink), so a candidate that
 // stops fitting is dead forever; deaths can only occur inside the
@@ -103,7 +104,7 @@ struct HeapEntry {
 
 // std::push_heap comparator: "a is worse than b".  The max element is the
 // highest benefit, ties broken by lowest server then lowest site — the same
-// total order the reference's two-stage scan induces.
+// total order the full scan's two-stage search induces.
 struct WorseThan {
   bool operator()(const HeapEntry& a, const HeapEntry& b) const {
     if (a.benefit != b.benefit) return a.benefit < b.benefit;

@@ -1,5 +1,6 @@
-// Internal glue shared by the two hybrid-greedy engines (reference and
-// incremental).  Not part of the public placement API.
+// Internal glue of the hybrid-greedy engine, also used by the Figure-2
+// oracle in tests/reference_placement.*.  Not part of the public placement
+// API.
 
 #pragma once
 
@@ -11,15 +12,11 @@
 
 namespace cdn::placement::detail {
 
-/// The original Figure-2 loop: every feasible candidate re-evaluated every
-/// iteration.  Oracle for the incremental engine and the bench baseline.
-PlacementResult hybrid_greedy_reference(const sys::CdnSystem& system,
-                                        const HybridGreedyOptions& options);
-
-/// Lazy-heap engine: candidates keep their cached benefits until a commit
-/// changes one of their inputs; only the invalidated set is re-evaluated.
-/// Byte-identical to the reference in placement, cost trajectory and commit
-/// order.
+/// Lazy-heap engine behind hybrid_greedy(): candidates keep their cached
+/// benefits until a commit changes one of their inputs; only the
+/// invalidated set is re-evaluated.  Byte-identical to the Figure-2 full
+/// re-evaluation loop (tests/reference_placement.*) in placement, cost
+/// trajectory and commit order.
 PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
                                           const HybridGreedyOptions& options);
 
@@ -44,8 +41,8 @@ double hybrid_relative_gain(const sys::CdnSystem& system,
                             const double* miss_flow, sys::ServerIndex server,
                             sys::SiteIndex site);
 
-/// Materialises options.seed (if any) into `placement` and `states`, in the
-/// same row-major order for both engines.
+/// Materialises options.seed (if any) into `placement` and `states`, in
+/// row-major order.
 inline void apply_seed(const sys::CdnSystem& system,
                        const HybridGreedyOptions& options,
                        sys::ReplicaPlacement& placement,

@@ -1,23 +1,27 @@
-// Cross-engine equivalence: the incremental placement engines must produce
-// byte-identical placements, cost trajectories and commit orders to their
-// reference counterparts.  Every double is compared with EXPECT_EQ (exact),
-// not EXPECT_NEAR — the contract is bit-identity, not tolerance.
+// Engine equivalence: the product's incremental placement engines must
+// produce byte-identical placements, cost trajectories and commit orders to
+// the Figure-2 full re-evaluation oracles in tests/reference_placement.*.
+// Every double is compared with EXPECT_EQ (exact), not EXPECT_NEAR — the
+// contract is bit-identity, not tolerance.
 //
-// The iteration logs are compared column-by-column except "candidates" and
-// "eval_ms": the engines legitimately evaluate different numbers of
-// candidates per commit (that is the whole point) and wall-clock differs.
+// The commit order comes from the engine's iteration log; its "candidates"
+// and "eval_ms" columns are not compared: the engine legitimately evaluates
+// fewer candidates per commit (that is the whole point) and wall-clock
+// differs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/registry.h"
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
-#include "src/placement/local_search.h"
+#include "tests/reference_placement.h"
 #include "tests/test_support.h"
 
 namespace {
@@ -26,38 +30,50 @@ using cdn::placement::greedy_global;
 using cdn::placement::GreedyGlobalOptions;
 using cdn::placement::hybrid_greedy;
 using cdn::placement::HybridGreedyOptions;
-using cdn::placement::local_search_refine;
-using cdn::placement::LocalSearchOptions;
-using cdn::placement::PlacementEngine;
 using cdn::placement::PlacementResult;
+using cdn::test::reference_greedy_global;
+using cdn::test::reference_hybrid_greedy;
+using cdn::test::ReferencePlacement;
 using cdn::test::TestSystem;
 
 struct EngineRun {
   PlacementResult result;
   std::vector<std::string> log_columns;
   std::vector<std::vector<double>> log_rows;
+  std::uint64_t candidates = 0;
 };
 
-EngineRun run_hybrid(const cdn::sys::CdnSystem& system,
-                     HybridGreedyOptions options, PlacementEngine engine) {
-  cdn::obs::Registry registry;
-  options.engine = engine;
-  options.metrics = &registry;
-  EngineRun run{hybrid_greedy(system, options), {}, {}};
-  const auto* log = registry.find_table("placement/hybrid/iterations");
-  if (log != nullptr) {
+EngineRun read_run(PlacementResult result, const cdn::obs::Registry& registry,
+                   const std::string& prefix) {
+  EngineRun run{std::move(result)};
+  if (const auto* log = registry.find_table(prefix + "iterations")) {
     run.log_columns = log->columns();
     run.log_rows = log->rows();
+  }
+  if (const auto* c = registry.find_counter(prefix + "candidates_evaluated")) {
+    run.candidates = c->value();
   }
   return run;
 }
 
-bool skipped_column(const std::string& name) {
-  return name == "candidates" || name == "eval_ms";
+EngineRun run_hybrid(const cdn::sys::CdnSystem& system,
+                     HybridGreedyOptions options) {
+  cdn::obs::Registry registry;
+  options.metrics = &registry;
+  return read_run(hybrid_greedy(system, options), registry,
+                  "placement/hybrid/");
 }
 
-void expect_equivalent(const cdn::sys::CdnSystem& system, const EngineRun& ref,
-                       const EngineRun& inc) {
+EngineRun run_greedy_global(const cdn::sys::CdnSystem& system,
+                            GreedyGlobalOptions options) {
+  cdn::obs::Registry registry;
+  options.metrics = &registry;
+  return read_run(greedy_global(system, options), registry,
+                  "placement/greedy_global/");
+}
+
+void expect_equivalent(const cdn::sys::CdnSystem& system,
+                       const ReferencePlacement& ref, const EngineRun& inc) {
   EXPECT_EQ(ref.result.replicas_created, inc.result.replicas_created);
   const std::size_t n = system.server_count();
   const std::size_t m = system.site_count();
@@ -85,32 +101,58 @@ void expect_equivalent(const cdn::sys::CdnSystem& system, const EngineRun& ref,
         << "modeled hit entry " << k;
   }
 
-  // Commit order and per-commit decomposition, from the iteration logs.
-  ASSERT_EQ(ref.log_columns, inc.log_columns);
-  ASSERT_EQ(ref.log_rows.size(), inc.log_rows.size());
-  for (std::size_t r = 0; r < ref.log_rows.size(); ++r) {
-    for (std::size_t c = 0; c < ref.log_columns.size(); ++c) {
-      if (skipped_column(ref.log_columns[c])) continue;
-      EXPECT_EQ(ref.log_rows[r][c], inc.log_rows[r][c])
-          << "iteration log row " << r << " column " << ref.log_columns[c];
+  // Commit order and per-commit decomposition, from the iteration log.
+  ASSERT_EQ(ref.commits.size(), inc.log_rows.size());
+  const auto column = [&](const std::string& name) {
+    const auto it =
+        std::find(inc.log_columns.begin(), inc.log_columns.end(), name);
+    return it == inc.log_columns.end()
+               ? inc.log_columns.size()
+               : static_cast<std::size_t>(it - inc.log_columns.begin());
+  };
+  const std::size_t server = column("server");
+  const std::size_t site = column("site");
+  const std::size_t benefit = column("benefit");
+  const std::size_t cost_after = column("cost_after");
+  ASSERT_LT(std::max({server, site, benefit, cost_after}),
+            inc.log_columns.size());
+  // Only the hybrid log carries the Figure-2 decomposition.
+  const std::size_t local = column("local_gain");
+  const std::size_t relative = column("relative_gain");
+  const std::size_t penalty = column("cache_penalty");
+  const bool hybrid = local < inc.log_columns.size();
+  for (std::size_t r = 0; r < ref.commits.size(); ++r) {
+    const auto& want = ref.commits[r];
+    const auto& row = inc.log_rows[r];
+    SCOPED_TRACE("commit " + std::to_string(r));
+    EXPECT_EQ(row[server], static_cast<double>(want.server));
+    EXPECT_EQ(row[site], static_cast<double>(want.site));
+    EXPECT_EQ(row[benefit], want.benefit);
+    EXPECT_EQ(row[cost_after], want.cost_after);
+    if (hybrid) {
+      EXPECT_EQ(row[local], want.parts.local_gain);
+      EXPECT_EQ(row[relative], want.parts.relative_gain);
+      EXPECT_EQ(row[penalty], want.parts.cache_penalty);
     }
   }
 }
 
-void expect_hybrid_engines_agree(const cdn::sys::CdnSystem& system,
-                                 const HybridGreedyOptions& options = {}) {
-  const EngineRun ref =
-      run_hybrid(system, options, PlacementEngine::kReference);
-  const EngineRun inc =
-      run_hybrid(system, options, PlacementEngine::kIncremental);
+void expect_hybrid_matches_oracle(const cdn::sys::CdnSystem& system,
+                                  const HybridGreedyOptions& options = {}) {
+  const ReferencePlacement ref = reference_hybrid_greedy(system, options);
+  const EngineRun inc = run_hybrid(system, options);
   expect_equivalent(system, ref, inc);
   EXPECT_GT(ref.result.replicas_created, 0u)
       << "vacuous comparison: no replicas committed";
+  // Uncapped runs only: under max_replicas the engine still re-prices the
+  // last commit's invalidation batch, which the full scan never does.
+  EXPECT_LE(inc.candidates, ref.candidates)
+      << "the engine evaluated more candidates than the full scan";
 }
 
 TEST(PlacementEngineEquivalenceTest, HybridDefaultOptions) {
   const auto t = TestSystem::make();
-  expect_hybrid_engines_agree(*t.system);
+  expect_hybrid_matches_oracle(*t.system);
 }
 
 TEST(PlacementEngineEquivalenceTest, HybridMaxReplicasCaps) {
@@ -118,11 +160,8 @@ TEST(PlacementEngineEquivalenceTest, HybridMaxReplicasCaps) {
   for (const std::size_t cap : {std::size_t{1}, std::size_t{3}}) {
     HybridGreedyOptions options;
     options.max_replicas = cap;
-    const EngineRun ref =
-        run_hybrid(*t.system, options, PlacementEngine::kReference);
-    const EngineRun inc =
-        run_hybrid(*t.system, options, PlacementEngine::kIncremental);
-    expect_equivalent(*t.system, ref, inc);
+    expect_equivalent(*t.system, reference_hybrid_greedy(*t.system, options),
+                      run_hybrid(*t.system, options));
   }
 }
 
@@ -134,101 +173,65 @@ TEST(PlacementEngineEquivalenceTest, HybridSeededPlacement) {
   ASSERT_GT(seed.replicas_created, 0u);
   HybridGreedyOptions options;
   options.seed = &seed.placement;
-  expect_hybrid_engines_agree(*t.system, options);
+  expect_hybrid_matches_oracle(*t.system, options);
 }
 
 TEST(PlacementEngineEquivalenceTest, HybridAddCostPerByte) {
   const auto t = TestSystem::make();
   HybridGreedyOptions options;
   options.add_cost_per_byte = 1e-9;
-  const EngineRun ref =
-      run_hybrid(*t.system, options, PlacementEngine::kReference);
-  const EngineRun inc =
-      run_hybrid(*t.system, options, PlacementEngine::kIncremental);
-  expect_equivalent(*t.system, ref, inc);
+  expect_equivalent(*t.system, reference_hybrid_greedy(*t.system, options),
+                    run_hybrid(*t.system, options));
 }
 
 TEST(PlacementEngineEquivalenceTest, HybridPerIterationPb) {
   const auto t = TestSystem::make();
   HybridGreedyOptions options;
   options.pb_mode = cdn::model::PbMode::kPerIteration;
-  expect_hybrid_engines_agree(*t.system, options);
+  expect_hybrid_matches_oracle(*t.system, options);
 }
 
 TEST(PlacementEngineEquivalenceTest, HybridTinyStorageNoReplicas) {
-  // Degenerate case: nothing fits, both engines must report an empty
-  // placement with the identical pure-caching starting cost.
+  // Degenerate case: nothing fits, so the engine must report an empty
+  // placement with the oracle's pure-caching starting cost.
   const auto t = TestSystem::make(4, 6, 2, 100, 0.001);
-  const EngineRun ref = run_hybrid(*t.system, {}, PlacementEngine::kReference);
-  const EngineRun inc =
-      run_hybrid(*t.system, {}, PlacementEngine::kIncremental);
+  const ReferencePlacement ref = reference_hybrid_greedy(*t.system);
   EXPECT_EQ(ref.result.replicas_created, 0u);
-  expect_equivalent(*t.system, ref, inc);
+  expect_equivalent(*t.system, ref, run_hybrid(*t.system, {}));
 }
 
 TEST(PlacementEngineEquivalenceTest, HeapMetricsAndClampCounterExported) {
   const auto t = TestSystem::make();
-  cdn::obs::Registry ref_registry;
-  HybridGreedyOptions ref_options;
-  ref_options.engine = PlacementEngine::kReference;
-  ref_options.metrics = &ref_registry;
-  hybrid_greedy(*t.system, ref_options);
-
-  cdn::obs::Registry inc_registry;
-  HybridGreedyOptions inc_options;
-  inc_options.engine = PlacementEngine::kIncremental;
-  inc_options.metrics = &inc_registry;
-  hybrid_greedy(*t.system, inc_options);
-
-  EXPECT_NE(inc_registry.find_counter("placement/hybrid/heap/reevaluations"),
-            nullptr);
-  EXPECT_NE(inc_registry.find_counter("placement/hybrid/heap/invalidations"),
-            nullptr);
-  EXPECT_NE(
-      inc_registry.find_counter("placement/hybrid/heap/stale_discarded"),
-      nullptr);
-  EXPECT_NE(inc_registry.find_gauge("placement/hybrid/heap/peak_size"),
-            nullptr);
-  EXPECT_NE(
-      inc_registry.find_series("placement/hybrid/heap/invalidated_per_commit"),
-      nullptr);
-  // Both engines report the shared curve-saturation counter.
-  EXPECT_NE(ref_registry.find_counter("model/curve_clamped"), nullptr);
-  EXPECT_NE(inc_registry.find_counter("model/curve_clamped"), nullptr);
-
-  // The incremental engine must never evaluate more candidates than the
-  // reference (the scaling bench asserts the >= 10x reduction at size).
-  const auto* ref_evals =
-      ref_registry.find_counter("placement/hybrid/candidates_evaluated");
-  const auto* inc_evals =
-      inc_registry.find_counter("placement/hybrid/candidates_evaluated");
-  ASSERT_NE(ref_evals, nullptr);
-  ASSERT_NE(inc_evals, nullptr);
-  EXPECT_LE(inc_evals->value(), ref_evals->value());
-}
-
-EngineRun run_greedy_global(const cdn::sys::CdnSystem& system,
-                            GreedyGlobalOptions options,
-                            PlacementEngine engine) {
   cdn::obs::Registry registry;
-  options.engine = engine;
+  HybridGreedyOptions options;
   options.metrics = &registry;
-  EngineRun run{greedy_global(system, options), {}, {}};
-  const auto* log = registry.find_table("placement/greedy_global/iterations");
-  if (log != nullptr) {
-    run.log_columns = log->columns();
-    run.log_rows = log->rows();
-  }
-  return run;
+  hybrid_greedy(*t.system, options);
+
+  EXPECT_NE(registry.find_counter("placement/hybrid/heap/reevaluations"),
+            nullptr);
+  EXPECT_NE(registry.find_counter("placement/hybrid/heap/invalidations"),
+            nullptr);
+  EXPECT_NE(registry.find_counter("placement/hybrid/heap/stale_discarded"),
+            nullptr);
+  EXPECT_NE(registry.find_gauge("placement/hybrid/heap/peak_size"), nullptr);
+  EXPECT_NE(
+      registry.find_series("placement/hybrid/heap/invalidated_per_commit"),
+      nullptr);
+  EXPECT_NE(registry.find_counter("model/curve_clamped"), nullptr);
+
+  // The engine must never evaluate more candidates than the full scan (the
+  // scaling bench asserts the >= 10x reduction at size).
+  const auto* evals =
+      registry.find_counter("placement/hybrid/candidates_evaluated");
+  ASSERT_NE(evals, nullptr);
+  EXPECT_LE(evals->value(), reference_hybrid_greedy(*t.system).candidates);
 }
 
 TEST(PlacementEngineEquivalenceTest, GreedyGlobalDefaultOptions) {
   const auto t = TestSystem::make();
-  const EngineRun ref =
-      run_greedy_global(*t.system, {}, PlacementEngine::kReference);
-  const EngineRun inc =
-      run_greedy_global(*t.system, {}, PlacementEngine::kIncremental);
-  expect_equivalent(*t.system, ref, inc);
+  const ReferencePlacement ref =
+      reference_greedy_global(*t.system, t.system->server_storage());
+  expect_equivalent(*t.system, ref, run_greedy_global(*t.system, {}));
   EXPECT_GT(ref.result.replicas_created, 0u);
 }
 
@@ -236,11 +239,10 @@ TEST(PlacementEngineEquivalenceTest, GreedyGlobalMaxReplicasCap) {
   const auto t = TestSystem::make();
   GreedyGlobalOptions options;
   options.max_replicas = 3;
-  const EngineRun ref =
-      run_greedy_global(*t.system, options, PlacementEngine::kReference);
-  const EngineRun inc =
-      run_greedy_global(*t.system, options, PlacementEngine::kIncremental);
-  expect_equivalent(*t.system, ref, inc);
+  expect_equivalent(
+      *t.system,
+      reference_greedy_global(*t.system, t.system->server_storage(), 3),
+      run_greedy_global(*t.system, options));
 }
 
 TEST(PlacementEngineEquivalenceTest, GreedyGlobalRandomizedSystems) {
@@ -251,92 +253,10 @@ TEST(PlacementEngineEquivalenceTest, GreedyGlobalRandomizedSystems) {
                                                            seed % 7),
                                     2.0 + static_cast<double>(seed % 9),
                                     seed);
-    const EngineRun ref =
-        run_greedy_global(*t.system, {}, PlacementEngine::kReference);
-    const EngineRun inc =
-        run_greedy_global(*t.system, {}, PlacementEngine::kIncremental);
-    expect_equivalent(*t.system, ref, inc);
-  }
-}
-
-struct LocalSearchRun {
-  PlacementResult result;
-  cdn::placement::LocalSearchStats stats;
-  std::vector<std::vector<double>> swap_rows;
-};
-
-LocalSearchRun run_local_search(const cdn::sys::CdnSystem& system,
-                                LocalSearchOptions options,
-                                PlacementEngine engine) {
-  // Both greedy_global engines are bit-identical, so each run starts the
-  // refinement from the same placement.
-  GreedyGlobalOptions start_options;
-  start_options.max_replicas = 4;  // leave slack so swaps exist
-  LocalSearchRun run{greedy_global(system, start_options), {}, {}};
-  cdn::obs::Registry registry;
-  options.engine = engine;
-  options.metrics = &registry;
-  run.stats = local_search_refine(system, run.result, options);
-  const auto* log = registry.find_table("placement/local_search/swaps");
-  if (log != nullptr) run.swap_rows = log->rows();
-  return run;
-}
-
-TEST(PlacementEngineEquivalenceTest, LocalSearchSwapsAreBitIdentical) {
-  const auto t = TestSystem::make();
-  const LocalSearchRun ref =
-      run_local_search(*t.system, {}, PlacementEngine::kReference);
-  const LocalSearchRun inc =
-      run_local_search(*t.system, {}, PlacementEngine::kIncremental);
-  EXPECT_EQ(ref.stats.swaps_applied, inc.stats.swaps_applied);
-  EXPECT_EQ(ref.stats.initial_cost, inc.stats.initial_cost);
-  EXPECT_EQ(ref.stats.final_cost, inc.stats.final_cost);
-  EXPECT_EQ(ref.result.predicted_total_cost,
-            inc.result.predicted_total_cost);
-  ASSERT_EQ(ref.swap_rows.size(), inc.swap_rows.size());
-  for (std::size_t r = 0; r < ref.swap_rows.size(); ++r) {
-    ASSERT_EQ(ref.swap_rows[r].size(), inc.swap_rows[r].size());
-    for (std::size_t c = 0; c < ref.swap_rows[r].size(); ++c) {
-      EXPECT_EQ(ref.swap_rows[r][c], inc.swap_rows[r][c])
-          << "swap row " << r << " column " << c;
-    }
-  }
-  const std::size_t n = t.system->server_count();
-  const std::size_t m = t.system->site_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      EXPECT_EQ(ref.result.placement.is_replicated(
-                    static_cast<cdn::sys::ServerIndex>(i),
-                    static_cast<cdn::sys::SiteIndex>(j)),
-                inc.result.placement.is_replicated(
-                    static_cast<cdn::sys::ServerIndex>(i),
-                    static_cast<cdn::sys::SiteIndex>(j)));
-    }
-  }
-}
-
-TEST(PlacementEngineEquivalenceTest, LocalSearchRandomizedSystems) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const auto t = TestSystem::make(3 + seed % 4, 4 + seed % 3, 1, 100,
-                                    0.1 + 0.05 * static_cast<double>(
-                                                     seed % 4),
-                                    3.0 + static_cast<double>(seed % 5),
-                                    seed);
-    LocalSearchOptions options;
-    options.max_swaps = 3;
-    const LocalSearchRun ref =
-        run_local_search(*t.system, options, PlacementEngine::kReference);
-    const LocalSearchRun inc =
-        run_local_search(*t.system, options, PlacementEngine::kIncremental);
-    EXPECT_EQ(ref.stats.swaps_applied, inc.stats.swaps_applied);
-    EXPECT_EQ(ref.stats.final_cost, inc.stats.final_cost);
-    ASSERT_EQ(ref.swap_rows.size(), inc.swap_rows.size());
-    for (std::size_t r = 0; r < ref.swap_rows.size(); ++r) {
-      for (std::size_t c = 0; c < ref.swap_rows[r].size(); ++c) {
-        EXPECT_EQ(ref.swap_rows[r][c], inc.swap_rows[r][c]);
-      }
-    }
+    expect_equivalent(
+        *t.system,
+        reference_greedy_global(*t.system, t.system->server_storage()),
+        run_greedy_global(*t.system, {}));
   }
 }
 
@@ -356,21 +276,16 @@ TEST(PlacementEngineEquivalenceTest, HybridRandomizedSystems) {
     HybridGreedyOptions options;
     if (seed % 3 == 0) options.pb_mode = cdn::model::PbMode::kPerIteration;
     if (seed % 4 == 0) options.add_cost_per_byte = 1e-10;
-    const EngineRun ref =
-        run_hybrid(*t.system, options, PlacementEngine::kReference);
-    const EngineRun inc =
-        run_hybrid(*t.system, options, PlacementEngine::kIncremental);
-    expect_equivalent(*t.system, ref, inc);
+    expect_equivalent(*t.system, reference_hybrid_greedy(*t.system, options),
+                      run_hybrid(*t.system, options));
   }
   // One system large enough that a commit's invalidation batch spans many
   // dynamically scheduled chunks, so concurrent candidates share one
   // server's ServerCacheState (the sanitizer job runs this under TSan).
   SCOPED_TRACE("24 servers x 40 sites");
   const auto t = TestSystem::make(24, 32, 8, 100, 0.1, 8.0, 5);
-  const EngineRun ref = run_hybrid(*t.system, {}, PlacementEngine::kReference);
-  const EngineRun inc =
-      run_hybrid(*t.system, {}, PlacementEngine::kIncremental);
-  expect_equivalent(*t.system, ref, inc);
+  const EngineRun inc = run_hybrid(*t.system, {});
+  expect_equivalent(*t.system, reference_hybrid_greedy(*t.system), inc);
   const auto col = std::find(inc.log_columns.begin(), inc.log_columns.end(),
                              "candidates");
   ASSERT_NE(col, inc.log_columns.end());

@@ -19,10 +19,8 @@
 #include "src/core/experiment.h"
 #include "src/model/steady_state.h"
 #include "src/obs/registry.h"
-#include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
 #include "src/placement/hybrid_internal.h"
-#include "src/placement/local_search.h"
 #include "src/placement/model_support.h"
 #include "src/placement/tier_evaluator.h"
 #include "src/util/error.h"
@@ -40,7 +38,6 @@ using cdn::placement::HybridGreedyOptions;
 using cdn::placement::ModelContext;
 using cdn::placement::modeled_hit_matrix;
 using cdn::placement::parse_placement_model;
-using cdn::placement::PlacementEngine;
 using cdn::placement::PlacementModel;
 using cdn::placement::placement_model_name;
 using cdn::placement::RelativeColumns;
@@ -383,58 +380,45 @@ TEST(PlacementTierGateTest, TieredFinalCostWithinOnePercentOfExact) {
         3 + seed % 6, 4 + seed % 5, 1 + seed % 3, 100,
         0.05 + 0.03 * static_cast<double>(seed % 7),
         2.0 + static_cast<double>(seed % 9), seed);
-    HybridGreedyOptions exact_options;
-    exact_options.engine = PlacementEngine::kReference;
-    const auto exact = hybrid_greedy(*t.system, exact_options);
+    const auto exact = hybrid_greedy(*t.system);
     ASSERT_GT(exact.predicted_total_cost, 0.0);
     for (const PlacementModel tier :
          {PlacementModel::kClosedForm, PlacementModel::kChe}) {
-      for (const PlacementEngine engine :
-           {PlacementEngine::kReference, PlacementEngine::kIncremental}) {
-        SCOPED_TRACE(std::string(placement_model_name(tier)) +
-                     (engine == PlacementEngine::kReference ? "/reference"
-                                                            : "/incremental"));
-        HybridGreedyOptions options;
-        options.placement_model = tier;
-        options.engine = engine;
-        const auto tiered = hybrid_greedy(*t.system, options);
-        EXPECT_LE(std::abs(tiered.predicted_total_cost -
-                           exact.predicted_total_cost),
-                  0.01 * exact.predicted_total_cost);
-      }
+      SCOPED_TRACE(placement_model_name(tier));
+      HybridGreedyOptions options;
+      options.placement_model = tier;
+      const auto tiered = hybrid_greedy(*t.system, options);
+      EXPECT_LE(
+          std::abs(tiered.predicted_total_cost - exact.predicted_total_cost),
+          0.01 * exact.predicted_total_cost);
     }
   }
 }
 
 TEST(PlacementTierGateTest, TierCountersExportedOnlyWhenTiered) {
   const auto t = TestSystem::make();
-  for (const PlacementEngine engine :
-       {PlacementEngine::kReference, PlacementEngine::kIncremental}) {
-    cdn::obs::Registry exact_registry;
-    HybridGreedyOptions exact_options;
-    exact_options.engine = engine;
-    exact_options.metrics = &exact_registry;
-    hybrid_greedy(*t.system, exact_options);
-    EXPECT_EQ(exact_registry.find_counter("placement/hybrid/tier_evaluations"),
-              nullptr);
+  cdn::obs::Registry exact_registry;
+  HybridGreedyOptions exact_options;
+  exact_options.metrics = &exact_registry;
+  hybrid_greedy(*t.system, exact_options);
+  EXPECT_EQ(exact_registry.find_counter("placement/hybrid/tier_evaluations"),
+            nullptr);
 
-    cdn::obs::Registry che_registry;
-    HybridGreedyOptions che_options;
-    che_options.engine = engine;
-    che_options.placement_model = PlacementModel::kChe;
-    che_options.metrics = &che_registry;
-    hybrid_greedy(*t.system, che_options);
-    const auto* evals =
-        che_registry.find_counter("placement/hybrid/tier_evaluations");
-    ASSERT_NE(evals, nullptr);
-    EXPECT_GT(evals->value(), 0u);
-    EXPECT_NE(che_registry.find_counter("placement/hybrid/tier_fallbacks"),
-              nullptr);
-    EXPECT_NE(che_registry.find_counter("placement/hybrid/tier_margin_hits"),
-              nullptr);
-    EXPECT_NE(che_registry.find_counter("model/che/fixed_point_iterations"),
-              nullptr);
-  }
+  cdn::obs::Registry che_registry;
+  HybridGreedyOptions che_options;
+  che_options.placement_model = PlacementModel::kChe;
+  che_options.metrics = &che_registry;
+  hybrid_greedy(*t.system, che_options);
+  const auto* evals =
+      che_registry.find_counter("placement/hybrid/tier_evaluations");
+  ASSERT_NE(evals, nullptr);
+  EXPECT_GT(evals->value(), 0u);
+  EXPECT_NE(che_registry.find_counter("placement/hybrid/tier_fallbacks"),
+            nullptr);
+  EXPECT_NE(che_registry.find_counter("placement/hybrid/tier_margin_hits"),
+            nullptr);
+  EXPECT_NE(che_registry.find_counter("model/che/fixed_point_iterations"),
+            nullptr);
 }
 
 TEST(PlacementTierGateTest, ZeroMarginStillVerifiesTheStopDecision) {
@@ -453,52 +437,19 @@ TEST(PlacementTierGateTest, ZeroMarginStillVerifiesTheStopDecision) {
 }
 
 TEST(PlacementTierGateTest, ExactTierIsByteIdenticalToDefaultRun) {
-  // --placement-model=exact must leave today's engines untouched: identical
+  // --placement-model=exact must leave the engine untouched: identical
   // placement, trajectory and predictions, and tier_fallback_margin ignored.
   const auto t = TestSystem::make();
-  for (const PlacementEngine engine :
-       {PlacementEngine::kReference, PlacementEngine::kIncremental}) {
-    HybridGreedyOptions baseline;
-    baseline.engine = engine;
-    const auto a = hybrid_greedy(*t.system, baseline);
-    HybridGreedyOptions explicit_exact = baseline;
-    explicit_exact.placement_model = PlacementModel::kExact;
-    explicit_exact.tier_fallback_margin = 0.7;
-    const auto b = hybrid_greedy(*t.system, explicit_exact);
-    EXPECT_EQ(a.predicted_total_cost, b.predicted_total_cost);
-    EXPECT_EQ(a.replicas_created, b.replicas_created);
-    ASSERT_EQ(a.cost_trajectory.size(), b.cost_trajectory.size());
-    for (std::size_t k = 0; k < a.cost_trajectory.size(); ++k) {
-      EXPECT_EQ(a.cost_trajectory[k], b.cost_trajectory[k]);
-    }
-  }
-}
-
-TEST(PlacementTierGateTest, ModelFreeAlgorithmsIgnoreTheTier) {
-  // greedy_global and local_search accept the knob for CLI symmetry but
-  // their objectives are model-free: every tier must be bit-identical.
-  const auto t = TestSystem::make();
-  cdn::placement::GreedyGlobalOptions exact_gg;
-  const auto gg_exact = cdn::placement::greedy_global(*t.system, exact_gg);
-  for (const PlacementModel tier :
-       {PlacementModel::kClosedForm, PlacementModel::kChe}) {
-    cdn::placement::GreedyGlobalOptions options;
-    options.placement_model = tier;
-    const auto gg = cdn::placement::greedy_global(*t.system, options);
-    EXPECT_EQ(gg.predicted_total_cost, gg_exact.predicted_total_cost);
-    EXPECT_EQ(gg.replicas_created, gg_exact.replicas_created);
-
-    auto refined_exact = gg_exact;
-    cdn::placement::LocalSearchOptions ls_exact;
-    const auto stats_exact = cdn::placement::local_search_refine(
-        *t.system, refined_exact, ls_exact);
-    auto refined = gg_exact;
-    cdn::placement::LocalSearchOptions ls;
-    ls.placement_model = tier;
-    const auto stats = cdn::placement::local_search_refine(*t.system,
-                                                           refined, ls);
-    EXPECT_EQ(stats.swaps_applied, stats_exact.swaps_applied);
-    EXPECT_EQ(stats.final_cost, stats_exact.final_cost);
+  const auto a = hybrid_greedy(*t.system);
+  HybridGreedyOptions explicit_exact;
+  explicit_exact.placement_model = PlacementModel::kExact;
+  explicit_exact.tier_fallback_margin = 0.7;
+  const auto b = hybrid_greedy(*t.system, explicit_exact);
+  EXPECT_EQ(a.predicted_total_cost, b.predicted_total_cost);
+  EXPECT_EQ(a.replicas_created, b.replicas_created);
+  ASSERT_EQ(a.cost_trajectory.size(), b.cost_trajectory.size());
+  for (std::size_t k = 0; k < a.cost_trajectory.size(); ++k) {
+    EXPECT_EQ(a.cost_trajectory[k], b.cost_trajectory[k]);
   }
 }
 
