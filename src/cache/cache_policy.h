@@ -39,9 +39,6 @@ class CachePolicy {
   /// Residency test without touching recency/frequency state.
   virtual bool contains(ObjectKey key) const = 0;
 
-  /// Shrinks or grows the capacity, evicting per policy when shrinking.
-  virtual void set_capacity(std::uint64_t bytes) = 0;
-
   virtual void clear() = 0;
 
   virtual std::uint64_t capacity_bytes() const = 0;

@@ -54,11 +54,6 @@ bool ClockCache::erase(ObjectKey key) {
 
 bool ClockCache::contains(ObjectKey key) const { return index_.contains(key); }
 
-void ClockCache::set_capacity(std::uint64_t bytes) {
-  capacity_ = bytes;
-  while (used_ > capacity_) evict_one();
-}
-
 void ClockCache::clear() {
   ring_.clear();
   index_.clear();

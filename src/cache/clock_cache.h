@@ -23,7 +23,6 @@ class ClockCache final : public CachePolicy {
   void admit(ObjectKey key, std::uint64_t bytes) override;
   bool erase(ObjectKey key) override;
   bool contains(ObjectKey key) const override;
-  void set_capacity(std::uint64_t bytes) override;
   void clear() override;
 
   std::uint64_t capacity_bytes() const override { return capacity_; }

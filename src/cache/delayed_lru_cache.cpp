@@ -60,10 +60,6 @@ bool DelayedLruCache::contains(ObjectKey key) const {
   return inner_.contains(key);
 }
 
-void DelayedLruCache::set_capacity(std::uint64_t bytes) {
-  inner_.set_capacity(bytes);
-}
-
 void DelayedLruCache::clear() {
   inner_.clear();
   ghost_order_.clear();

@@ -35,11 +35,6 @@ bool FifoCache::erase(ObjectKey key) {
 
 bool FifoCache::contains(ObjectKey key) const { return index_.contains(key); }
 
-void FifoCache::set_capacity(std::uint64_t bytes) {
-  capacity_ = bytes;
-  while (used_ > capacity_) evict_one();
-}
-
 void FifoCache::clear() {
   queue_.clear();
   index_.clear();

@@ -56,11 +56,6 @@ bool LfuCache::erase(ObjectKey key) {
 
 bool LfuCache::contains(ObjectKey key) const { return index_.contains(key); }
 
-void LfuCache::set_capacity(std::uint64_t bytes) {
-  capacity_ = bytes;
-  while (used_ > capacity_) evict_one();
-}
-
 void LfuCache::clear() {
   buckets_.clear();
   index_.clear();

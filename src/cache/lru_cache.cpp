@@ -39,11 +39,6 @@ bool LruCache::erase(ObjectKey key) {
 
 bool LruCache::contains(ObjectKey key) const { return index_.contains(key); }
 
-void LruCache::set_capacity(std::uint64_t bytes) {
-  capacity_ = bytes;
-  while (used_ > capacity_) evict_one();
-}
-
 void LruCache::clear() {
   recency_.clear();
   index_.clear();

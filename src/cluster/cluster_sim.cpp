@@ -13,7 +13,7 @@ sim::SimulationReport simulate_clusters(const sys::CdnSystem& system,
              "warmup fraction must be in [0, 1)");
 
   workload::RequestStream stream(system.catalog(), system.demand(),
-                                 config.seed, config.stream_locality);
+                                 config.seed);
   const std::uint64_t warmup = static_cast<std::uint64_t>(
       config.warmup_fraction * static_cast<double>(config.total_requests));
 

@@ -48,7 +48,6 @@
 #include "src/sim/consistency_sim.h"
 #include "src/sim/simulator.h"
 #include "src/topology/transit_stub.h"
-#include "src/topology/waxman.h"
 #include "src/util/cdf.h"
 #include "src/util/cli.h"
 #include "src/util/stats.h"
@@ -56,4 +55,3 @@
 #include "src/workload/demand.h"
 #include "src/workload/request_stream.h"
 #include "src/workload/site_catalog.h"
-#include "src/workload/trace_io.h"

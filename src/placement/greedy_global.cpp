@@ -167,10 +167,6 @@ PlacementResult greedy_global_with_budgets(
   std::size_t iteration = 0;
 
   for (;;) {
-    if (options.max_replicas != 0 &&
-        result.placement.replica_count() >= options.max_replicas) {
-      break;
-    }
     obs::ScopedSpan iter_span(spans, sp_iter, "placement");
     iter_span.arg("iteration", static_cast<double>(iteration));
     while (!heap.empty()) {
@@ -205,6 +201,11 @@ PlacementResult greedy_global_with_budgets(
            result.cost_trajectory.back(), pending_eval_ms});
     }
     ++iteration;
+    // Stop at the cap before re-pricing a batch no commit would use.
+    if (options.max_replicas != 0 &&
+        result.placement.replica_count() >= options.max_replicas) {
+      break;
+    }
 
     // Row ws: the budget shrank, so candidates there can die — their benefit
     // inputs are untouched, only feasibility is checked.

@@ -44,17 +44,6 @@ struct HybridGreedyOptions {
   /// trajectory and final states stay exact in every tier.
   PlacementModel placement_model = PlacementModel::kExact;
 
-  /// Width of the exact-verification band for the cheap tiers, as a
-  /// fraction of the current iteration's top tier benefit.
-  /// Tier prices only RANK candidates: every iteration the winner is
-  /// re-priced with the exact model before commit, together with every
-  /// contender whose tier benefit lands within this margin of the top (so
-  /// a tier mis-ranking inside the band cannot pick the wrong replica).
-  /// Larger margins verify more contenders (slower, closer to exact); 0
-  /// still exact-verifies the winner and the stop decision, trusting the
-  /// tier's ordering everywhere else.  Ignored under kExact.
-  double tier_fallback_margin = 0.1;
-
   /// Optional cap on replicas (0 = unlimited).
   std::size_t max_replicas = 0;
 

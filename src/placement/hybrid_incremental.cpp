@@ -95,6 +95,14 @@ namespace {
 // O(M) full re-evaluations must spread over several workers.
 constexpr std::size_t kBatchChunk = 32;
 
+// Width of the cheap tiers' exact-verification band, as a fraction of the
+// current iteration's top tier benefit.  Tier prices only RANK candidates:
+// every iteration the winner is re-priced with the exact model before
+// commit, together with every contender whose tier benefit lands within
+// this margin of the top, so a tier mis-ranking inside the band cannot pick
+// the wrong replica.
+constexpr double kTierFallbackMargin = 0.1;
+
 struct HeapEntry {
   double benefit = 0.0;
   sys::ServerIndex server = 0;
@@ -379,10 +387,6 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
   std::size_t iteration = 0;
 
   for (;;) {
-    if (options.max_replicas != 0 &&
-        result.placement.replica_count() >= seeded + options.max_replicas) {
-      break;
-    }
     obs::ScopedSpan iter_span(spans, sp_iter, "placement");
     iter_span.arg("iteration", static_cast<double>(iteration));
     // Lazy deletion: discard entries whose candidate was re-evaluated or
@@ -426,8 +430,7 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
         // frontier decays — a frozen run-level scale would drag the whole
         // post-commit invalidation set into exact re-pricing every
         // iteration once benefits shrink below it.
-        const double band =
-            options.tier_fallback_margin * std::abs(top.benefit);
+        const double band = kTierFallbackMargin * std::abs(top.benefit);
         const std::size_t tidx =
             static_cast<std::size_t>(top.server) * m + top.site;
         // Settled: exact top, nothing unverified close enough to contest.
@@ -537,6 +540,11 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
            result.cost_trajectory.back(), pending_eval_ms});
     }
     ++iteration;
+    // Stop at the cap before re-pricing a batch no commit would use.
+    if (options.max_replicas != 0 &&
+        result.placement.replica_count() >= seeded + options.max_replicas) {
+      break;
+    }
 
     // --- Invalidation: collect exactly the candidates whose inputs the
     // commit changed, tagged with WHICH term went stale (see the file

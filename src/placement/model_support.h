@@ -33,7 +33,7 @@ namespace cdn::placement {
 /// In every tier the hit matrix, miss flows, cost trajectory and final
 /// model states stay EXACT — tiers only price the candidate *ranking*, and
 /// near-threshold winners are re-verified with the exact model before
-/// commit (HybridGreedyOptions::tier_fallback_margin).
+/// commit (a fixed band of 10% of the iteration's top tier benefit).
 enum class PlacementModel {
   kExact,
   kClosedForm,

@@ -35,8 +35,7 @@ ConsistencyReport simulate_with_consistency(
         result.cache_bytes(static_cast<sys::ServerIndex>(i))));
   }
 
-  workload::RequestStream stream(catalog, system.demand(), sim_config.seed,
-                                 sim_config.stream_locality);
+  workload::RequestStream stream(catalog, system.demand(), sim_config.seed);
   ModificationProcess updates(consistency.min_mean_update_interval,
                               consistency.max_mean_update_interval,
                               consistency.seed);

@@ -5,6 +5,12 @@
 // per-server freshness tables, and implements TTL-based weak consistency
 // or invalidation-based strong consistency.  Replicas are push-updated by
 // the CDN and always fresh, matching the paper's assumption.
+//
+// The driver keeps its own request loop instead of going through the
+// request kernel (request_kernel.h): a cache hit here depends on the
+// per-object freshness tables and the modification clock, and may erase,
+// revalidate or count a stale copy.  Folding that into serve() would make
+// the kernel every engine runs branch on which caller it serves.
 
 #pragma once
 

@@ -153,7 +153,7 @@ SimulationReport simulate_parallel(const sys::CdnSystem& system,
     const std::vector<workload::ServerId>& owned = plan.servers[s];
     ShardResult& out = results[s];
     ShardState& st = states[s];
-    out.tally.latency.use_sketch(config.latency_sketch_error);
+    out.tally.latency.use_sketch(detail::kLatencySketchError);
     out.tally.slo_ms = config.slo_ms;
     if (window_count > 0) out.windows.resize(window_count);
     st.cache_slots.assign(n, nullptr);
@@ -178,7 +178,7 @@ SimulationReport simulate_parallel(const sys::CdnSystem& system,
     // reproduces the full i.i.d. stream's law exactly.
     st.stream.emplace(system.catalog(), system.demand(),
                       detail::substream_seed(config.seed, s, kStreamSalt),
-                      config.stream_locality, 256, owned);
+                      owned);
     st.lambda_rng =
         util::Rng(detail::substream_seed(config.seed, s, kLambdaSalt));
   }
@@ -360,7 +360,7 @@ SimulationReport simulate_parallel(const sys::CdnSystem& system,
   report.total_requests = total;
   report.shards_used = shards;
   detail::Tally merged;
-  merged.latency.use_sketch(config.latency_sketch_error);
+  merged.latency.use_sketch(detail::kLatencySketchError);
   merged.slo_ms = config.slo_ms;
   std::vector<detail::WindowAccumulator> windows(window_count);
   report.server_cache_stats.resize(n);

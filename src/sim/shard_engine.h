@@ -12,9 +12,8 @@
 // deterministic function of (seed, shards) — the thread count only changes
 // the execution schedule, never a result bit.
 //
-// Healthy synthetic runs only: a fault schedule, trace replay or a trace
-// sink needs the global request clock and stays on the sequential engine
-// (simulate() dispatches).
+// Healthy runs only: a fault schedule or a trace sink needs the global
+// request clock and stays on the sequential engine (simulate() dispatches).
 
 #pragma once
 

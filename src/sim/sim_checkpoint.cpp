@@ -5,7 +5,6 @@
 #include "src/cdn/system.h"
 #include "src/fault/fault_schedule.h"
 #include "src/obs/span.h"
-#include "src/workload/trace_io.h"
 
 namespace cdn::sim {
 
@@ -49,19 +48,7 @@ std::uint64_t hash_of(const util::ByteWriter& w) {
 
 std::uint64_t config_hash(const SimulationConfig& config) {
   util::ByteWriter w;
-  if (config.trace != nullptr) {
-    w.u8(1);
-    w.u64(config.trace->size());
-    for (std::size_t i = 0; i < config.trace->size(); ++i) {
-      const workload::Request& req = (*config.trace)[i];
-      w.u32(req.server);
-      w.u32(req.site);
-      w.u32(req.rank);
-    }
-  } else {
-    w.u8(0);
-    w.u64(config.total_requests);
-  }
+  w.u64(config.total_requests);
   w.f64(config.warmup_fraction);
   w.u8(static_cast<std::uint8_t>(config.policy));
   w.u8(static_cast<std::uint8_t>(config.staleness));
@@ -70,9 +57,7 @@ std::uint64_t config_hash(const SimulationConfig& config) {
   w.f64(config.latency.retry_timeout_ms);
   w.f64(config.latency.retry_backoff_ms);
   w.u64(config.seed);
-  w.f64(config.stream_locality);
   w.f64(config.slo_ms);
-  w.f64(config.latency_sketch_error);
   w.u64(config.metrics_windows);
   w.u8(config.per_server_metrics ? 1 : 0);
   // Observability shape matters to the payload layout: a checkpoint taken

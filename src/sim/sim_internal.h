@@ -19,6 +19,11 @@
 
 namespace cdn::sim::detail {
 
+/// Relative error bound of the bounded-memory latency quantile sketch the
+/// parallel and flow engines keep (the sequential engine keeps exact
+/// samples).
+constexpr double kLatencySketchError = 0.005;
+
 /// Measured-window accumulator, flushed into the registry's per-window
 /// series every measured/metrics_windows requests.  The parallel engine
 /// keeps one vector of these per shard and sums them per window index.

@@ -20,16 +20,10 @@ void SimulationConfig::validate() const {
   CDN_EXPECT(warmup_fraction >= 0.0 && warmup_fraction < 1.0,
              "warmup fraction must be in [0, 1)");
   CDN_EXPECT(metrics_windows >= 1, "need at least one metrics window");
-  if (trace != nullptr) {
-    CDN_EXPECT(!trace->empty(), "cannot replay an empty trace");
-  } else {
-    CDN_EXPECT(total_requests > 0, "need at least one request");
-  }
+  CDN_EXPECT(total_requests > 0, "need at least one request");
   CDN_EXPECT(slo_ms >= 0.0, "SLO threshold must be non-negative");
   CDN_EXPECT(latency.retry_timeout_ms >= 0.0 && latency.retry_backoff_ms >= 0.0,
              "retry latency penalties must be non-negative");
-  CDN_EXPECT(latency_sketch_error > 0.0 && latency_sketch_error < 1.0,
-             "latency sketch relative error must be in (0, 1)");
   CDN_EXPECT(std::isfinite(checkpoint_every_seconds) &&
                  checkpoint_every_seconds >= 0.0,
              "checkpoint time cadence must be a non-negative finite number "
@@ -47,9 +41,6 @@ void SimulationConfig::validate() const {
     // is meaningless there.  Reject loudly instead of silently ignoring —
     // a user who asked for a trace or a checkpoint must not get a report
     // that quietly dropped it.
-    CDN_EXPECT(trace == nullptr,
-               "the flow engine computes steady-state flows and cannot "
-               "replay a recorded trace; use --engine=event");
     CDN_EXPECT(faults == nullptr || faults->empty(),
                "fault schedules need per-request failover decisions; "
                "use --engine=event for fault-injection runs");
@@ -60,9 +51,6 @@ void SimulationConfig::validate() const {
                    stop == nullptr && !checkpoint_cadence,
                "checkpoint/resume makes no sense for the flow engine (runs "
                "complete in milliseconds); use --engine=event");
-    CDN_EXPECT(stream_locality == 0.0,
-               "the flow model assumes the i.i.d. request stream; "
-               "use --engine=event for temporal-locality studies");
   }
 }
 
@@ -73,14 +61,13 @@ constexpr std::uint64_t kChunkMax = 4096;
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
 /// The sequential event engine: one chunked loop over the global request
-/// clock for every run — synthetic or replayed, healthy or fault-injected.
+/// clock for every run, healthy or fault-injected.
 ///
-/// Each chunk is a request batch (the stream's next batch, a slice of the
-/// replayed trace, or surge-filtered draws while a surge is active) served
-/// by the request kernel.  A chunk ends at the warm-up edge, a window flush,
-/// a recovery probe, a progress tick, or the next fault transition, so all
-/// rare-event work happens between chunks and the fault state is constant
-/// inside one.  Boundary work runs in a fixed order — window flush, then
+/// Each chunk is a request batch (the stream's next batch, or surge-filtered
+/// draws while a surge is active) served by the request kernel.  A chunk
+/// ends at the warm-up edge, a window flush, a recovery probe, a progress
+/// tick, or the next fault transition, so all rare-event work happens
+/// between chunks and the fault state is constant inside one.  Boundary work runs in a fixed order — window flush, then
 /// recovery probe, then progress — which keeps reports and checkpoint
 /// payloads identical to a request-at-a-time loop (tests/reference_sim.h).
 class SequentialEngine {
@@ -95,8 +82,8 @@ class SequentialEngine {
  private:
   template <bool kFaults>
   void run_chunks();
-  /// Fills batch_ with requests [t, t + count).
-  void fill(std::uint64_t t, std::size_t count, bool surge);
+  /// Fills batch_ with the next `count` requests.
+  void fill(std::size_t count, bool surge);
   void save_state(util::ByteWriter& w, std::uint64_t next_t) const;
   std::uint64_t restore_state(util::ByteReader& r);
 
@@ -134,8 +121,7 @@ SequentialEngine::SequentialEngine(const sys::CdnSystem& system,
                                    const SimulationConfig& config)
     : config_(config),
       inputs_(system, result, config),
-      stream_(system.catalog(), system.demand(), config.seed,
-              config.stream_locality),
+      stream_(system.catalog(), system.demand(), config.seed),
       lambda_rng_(config.seed ^ 0x5bd1e995u),
       surge_rng_(config.seed ^ 0x9e3779b9u),
       instrumented_(config.metrics != nullptr),
@@ -150,11 +136,6 @@ SequentialEngine::SequentialEngine(const sys::CdnSystem& system,
   }
 
   total_ = config.total_requests;
-  if (config.trace != nullptr) {
-    config.trace->validate(n, system.site_count(),
-                           system.catalog().objects_per_site());
-    total_ = config.trace->size();
-  }
   warmup_ = static_cast<std::uint64_t>(config.warmup_fraction *
                                        static_cast<double>(total_));
   measured_total_ = total_ - warmup_;
@@ -196,27 +177,22 @@ SequentialEngine::SequentialEngine(const sys::CdnSystem& system,
   }
 }
 
-void SequentialEngine::fill(std::uint64_t t, std::size_t count, bool surge) {
-  if (config_.trace == nullptr && !surge) {
+void SequentialEngine::fill(std::size_t count, bool surge) {
+  if (!surge) {
     stream_.next_batch(batch_, count);
     return;
   }
   batch_.resize(count);
+  // Flash-crowd reshaping: accept a drawn request with probability
+  // proportional to its site's surge multiplier (rejection sampling against
+  // the current max), which samples site j with probability ∝ p_j * mult_j
+  // without touching the demand matrix.
+  const double bound = timeline_->max_demand_multiplier();
   for (std::size_t i = 0; i < count; ++i) {
-    workload::Request req;
-    if (config_.trace != nullptr) {
-      req = (*config_.trace)[t + i];
-    } else {
-      // Flash-crowd reshaping: accept a drawn request with probability
-      // proportional to its site's surge multiplier (rejection sampling
-      // against the current max), which samples site j with probability
-      // ∝ p_j * mult_j without touching the demand matrix.
-      const double bound = timeline_->max_demand_multiplier();
+    workload::Request req = stream_.next();
+    while (surge_rng_.uniform() * bound >
+           timeline_->demand_multiplier(req.site)) {
       req = stream_.next();
-      while (surge_rng_.uniform() * bound >
-             timeline_->demand_multiplier(req.site)) {
-        req = stream_.next();
-      }
     }
     batch_.server[i] = req.server;
     batch_.site[i] = req.site;
@@ -272,10 +248,9 @@ void SequentialEngine::run_chunks() {
         }
       }
       end = std::min(end, timeline_->next_transition_time());
-      // Surges reshape the live stream only; a replayed trace is fixed.
-      surge = config_.trace == nullptr && timeline_->any_surge_active();
+      surge = timeline_->any_surge_active();
     }
-    fill(t, static_cast<std::size_t>(end - t), surge);
+    fill(static_cast<std::size_t>(end - t), surge);
     const bool measured = t >= warmup_;
     detail::serve_batch<kFaults>(inputs_, cache_slots_.data(), lambda_rng_,
                                  batch_, measured ? &tally_ : nullptr,
@@ -444,13 +419,12 @@ SimulationReport simulate(const sys::CdnSystem& system,
   if (config.engine == SimEngine::kFlow) {
     return simulate_flow(system, result, config);
   }
-  // Healthy synthetic runs may shard; a fault schedule, trace replay or a
-  // trace sink needs the global request clock and stays sequential.
+  // Healthy runs may shard; a fault schedule or a trace sink needs the
+  // global request clock and stays sequential.
   const bool faults_active =
       config.faults != nullptr && !config.faults->empty();
   const std::size_t threads = detail::resolve_threads(config.threads);
-  if (threads > 1 && config.trace == nullptr && !faults_active &&
-      config.trace_sink == nullptr) {
+  if (threads > 1 && !faults_active && config.trace_sink == nullptr) {
     return simulate_parallel(system, result, config, threads);
   }
   return simulate_sequential(system, result, config);

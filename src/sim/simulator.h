@@ -27,7 +27,6 @@
 #include "src/sim/latency_model.h"
 #include "src/util/cdf.h"
 #include "src/util/quantile_sketch.h"
-#include "src/workload/trace_io.h"
 
 namespace cdn::sim {
 
@@ -50,8 +49,8 @@ enum class SimEngine {
   /// Flow-level analytical fast path: summary metrics computed from the
   /// demand matrix, the placement and a steady-state hit-ratio model with
   /// no per-request loop (src/sim/flow_engine.cpp).  Orders of magnitude
-  /// faster; per-request features (trace replay/sinks, fault schedules,
-  /// checkpointing, stream locality) are rejected by validate().
+  /// faster; per-request features (trace sinks, fault schedules,
+  /// checkpointing) are rejected by validate().
   kFlow,
 };
 
@@ -93,11 +92,6 @@ struct SimulationProgress {
 
 struct SimulationConfig {
   std::uint64_t total_requests = 2'000'000;
-  /// Optional pre-recorded trace (non-owning).  When set, the whole trace
-  /// is replayed instead of generating `total_requests` synthetic requests
-  /// (warmup_fraction still applies).  The trace must fit the system's
-  /// dimensions (see RecordedTrace::validate).
-  const workload::RecordedTrace* trace = nullptr;
   /// Leading fraction of the stream excluded from measurement so caches
   /// reach steady state ("we allowed an appropriate warm-up period").
   double warmup_fraction = 0.3;
@@ -105,9 +99,6 @@ struct SimulationConfig {
   StalenessMode staleness = StalenessMode::kRefresh;
   LatencyModel latency;
   std::uint64_t seed = 42;
-  /// Temporal-locality knob of the request stream (0 = i.i.d., the model's
-  /// assumption).
-  double stream_locality = 0.0;
 
   /// Evaluation engine (see docs/PERFORMANCE.md for when to trust which).
   SimEngine engine = SimEngine::kEvent;
@@ -118,18 +109,15 @@ struct SimulationConfig {
 
   /// Simulation worker threads.  1 (the default) runs the sequential
   /// engine, bit-identical to the pre-parallel simulator; 0 uses
-  /// one thread per hardware thread.  Fault schedules, trace replay and
-  /// trace sinks need the global request clock, so they force the
-  /// sequential engine regardless of this knob.
+  /// one thread per hardware thread.  Fault schedules and trace sinks need
+  /// the global request clock, so they force the sequential engine
+  /// regardless of this knob.
   std::size_t threads = 1;
   /// First-hop shard count of the parallel engine.  0 = auto (4 threads'
   /// worth of shards, capped at the server count).  The parallel report is
   /// a deterministic function of (seed, shards) alone — the thread count
   /// only changes the execution schedule, never a result bit.
   std::size_t shards = 0;
-  /// Relative error bound of the parallel engine's bounded-memory latency
-  /// quantile sketch (the sequential engine keeps exact samples).
-  double latency_sketch_error = 0.005;
 
   // --- Fault injection (see docs/FAULTS.md) ---
 

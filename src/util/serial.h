@@ -1,12 +1,12 @@
 // Bounds-checked binary (de)serialisation primitives for crash-safe state
-// snapshots (src/recover) and the trace formats.
+// snapshots (src/recover).
 //
 // ByteWriter appends little-endian fixed-width fields to a growable buffer;
 // ByteReader walks a read-only view of such a buffer and throws
 // PreconditionError — never reads out of bounds, never crashes — when the
 // data is truncated or a declared length exceeds what is actually there.
 // Both are deliberately dumb: framing, versioning and checksums live in the
-// layers above (src/recover/checkpoint.h, workload/trace_io.cpp).
+// layers above (src/recover/checkpoint.h).
 
 #pragma once
 

@@ -95,29 +95,6 @@ TEST(LruCacheTest, EraseFreesBytes) {
   EXPECT_FALSE(cache.contains(1));
 }
 
-TEST(LruCacheTest, ShrinkCapacityEvicts) {
-  LruCache cache(100);
-  cache.admit(1, 30);
-  cache.admit(2, 30);
-  cache.admit(3, 30);
-  cache.set_capacity(50);  // must evict 1 and 2 (LRU first)
-  EXPECT_EQ(cache.capacity_bytes(), 50u);
-  EXPECT_LE(cache.used_bytes(), 50u);
-  EXPECT_FALSE(cache.contains(1));
-  EXPECT_FALSE(cache.contains(2));
-  EXPECT_TRUE(cache.contains(3));
-}
-
-TEST(LruCacheTest, GrowCapacityKeepsContents) {
-  LruCache cache(30);
-  cache.admit(1, 30);
-  cache.set_capacity(100);
-  EXPECT_TRUE(cache.contains(1));
-  cache.admit(2, 70);
-  EXPECT_TRUE(cache.contains(1));
-  EXPECT_TRUE(cache.contains(2));
-}
-
 TEST(LruCacheTest, ClearResetsEverything) {
   LruCache cache(100);
   cache.admit(1, 10);

@@ -62,17 +62,6 @@ TEST_P(CachePropertyTest, LookupConsistentWithContains) {
   }
 }
 
-TEST_P(CachePropertyTest, ShrinkToZeroEmptiesCache) {
-  auto cache = make_cache(GetParam(), 1000);
-  Rng rng(45);
-  for (int i = 0; i < 500; ++i) {
-    cache->access(rng.uniform_index(200), rng.uniform_index(30) + 1);
-  }
-  cache->set_capacity(0);
-  EXPECT_EQ(cache->used_bytes(), 0u);
-  EXPECT_EQ(cache->object_count(), 0u);
-}
-
 TEST_P(CachePropertyTest, EraseAllLeavesEmpty) {
   auto cache = make_cache(GetParam(), 1000);
   for (ObjectKey key = 0; key < 50; ++key) cache->admit(key, 10);

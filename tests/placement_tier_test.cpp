@@ -421,29 +421,13 @@ TEST(PlacementTierGateTest, TierCountersExportedOnlyWhenTiered) {
             nullptr);
 }
 
-TEST(PlacementTierGateTest, ZeroMarginStillVerifiesTheStopDecision) {
-  // tier_fallback_margin = 0 trusts the tier everywhere except the commit
-  // threshold; the run must still terminate and stay within the gate.
-  const auto t = TestSystem::make();
-  HybridGreedyOptions exact_options;
-  const auto exact = hybrid_greedy(*t.system, exact_options);
-  HybridGreedyOptions options;
-  options.placement_model = PlacementModel::kClosedForm;
-  options.tier_fallback_margin = 0.0;
-  const auto tiered = hybrid_greedy(*t.system, options);
-  EXPECT_LE(
-      std::abs(tiered.predicted_total_cost - exact.predicted_total_cost),
-      0.01 * exact.predicted_total_cost);
-}
-
 TEST(PlacementTierGateTest, ExactTierIsByteIdenticalToDefaultRun) {
   // --placement-model=exact must leave the engine untouched: identical
-  // placement, trajectory and predictions, and tier_fallback_margin ignored.
+  // placement, trajectory and predictions.
   const auto t = TestSystem::make();
   const auto a = hybrid_greedy(*t.system);
   HybridGreedyOptions explicit_exact;
   explicit_exact.placement_model = PlacementModel::kExact;
-  explicit_exact.tier_fallback_margin = 0.7;
   const auto b = hybrid_greedy(*t.system, explicit_exact);
   EXPECT_EQ(a.predicted_total_cost, b.predicted_total_cost);
   EXPECT_EQ(a.replicas_created, b.replicas_created);

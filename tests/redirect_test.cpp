@@ -242,6 +242,26 @@ TEST(ServerSelectionTest, DeadHolderReceivesNoFlow) {
   // failed-over flow, and (origins are all up) none of it is lost.
   EXPECT_GT(r.failed_over_flow, 0.0);
   EXPECT_DOUBLE_EQ(r.unserved_flow, 0.0);
+
+  // Conservation: a dead server's whole demand and every live server's
+  // misses land on a live holder or primary, or are declared unserved.
+  double expected = 0.0;
+  for (std::size_t i = 0; i < t.system->server_count(); ++i) {
+    const auto server = static_cast<sys::ServerIndex>(i);
+    for (std::size_t j = 0; j < t.system->site_count(); ++j) {
+      const auto site = static_cast<sys::SiteIndex>(j);
+      if (up[i] == 0) {
+        expected += t.system->demand().requests(server, site);
+      } else if (!placement.placement.is_replicated(server, site)) {
+        expected += t.system->demand().requests(server, site) *
+                    (1.0 - placement.hit(server, site));
+      }
+    }
+  }
+  double assigned = r.unserved_flow;
+  for (const double f : r.server_flow) assigned += f;
+  for (const double f : r.primary_flow) assigned += f;
+  EXPECT_NEAR(assigned, expected, 1e-6 * expected);
 }
 
 TEST(ServerSelectionTest, HealthyMaskMatchesNoMask) {

@@ -41,7 +41,7 @@ struct ReferencePlacement {
 
 /// The hybrid greedy under the exact model tier.  Honours pb_mode, seed,
 /// max_replicas and add_cost_per_byte; placement_model must be kExact;
-/// metrics, spans and tier_fallback_margin are ignored.
+/// metrics and spans are ignored.
 ReferencePlacement reference_hybrid_greedy(
     const sys::CdnSystem& system,
     const placement::HybridGreedyOptions& options = {});

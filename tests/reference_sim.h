@@ -34,13 +34,11 @@ inline sim::SimulationReport reference_simulate(
     caches.push_back(cache::make_cache(
         config.policy, result.cache_bytes(static_cast<sys::ServerIndex>(i))));
   }
-  workload::RequestStream stream(catalog, system.demand(), config.seed,
-                                 config.stream_locality);
+  workload::RequestStream stream(catalog, system.demand(), config.seed);
   util::Rng lambda_rng(config.seed ^ 0x5bd1e995u);
   util::Rng surge_rng(config.seed ^ 0x9e3779b9u);
 
-  const std::uint64_t total =
-      config.trace != nullptr ? config.trace->size() : config.total_requests;
+  const std::uint64_t total = config.total_requests;
   const auto warmup = static_cast<std::uint64_t>(
       config.warmup_fraction * static_cast<double>(total));
 
@@ -71,9 +69,8 @@ inline sim::SimulationReport reference_simulate(
         ++report.cold_restarts;
       }
     }
-    workload::Request req =
-        config.trace != nullptr ? (*config.trace)[t] : stream.next();
-    if (faults && config.trace == nullptr && timeline->any_surge_active()) {
+    workload::Request req = stream.next();
+    if (faults && timeline->any_surge_active()) {
       const double bound = timeline->max_demand_multiplier();
       while (surge_rng.uniform() * bound >
              timeline->demand_multiplier(req.site)) {

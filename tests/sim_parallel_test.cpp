@@ -13,10 +13,9 @@
 #include "src/placement/fixed_split.h"
 #include "src/placement/hybrid_greedy.h"
 #include "src/sim/shard_engine.h"
+#include "src/sim/sim_checkpoint.h"
 #include "src/sim/simulator.h"
-#include "src/util/error.h"
-#include "src/workload/request_stream.h"
-#include "src/workload/trace_io.h"
+#include "src/obs/trace.h"
 #include "tests/test_support.h"
 
 namespace {
@@ -184,17 +183,25 @@ TEST(ParallelSimTest, FaultScheduleForcesSequentialEngine) {
   expect_identical(with_threads, sequential);
 }
 
-TEST(ParallelSimTest, TraceReplayForcesSequentialEngine) {
+TEST(ParallelSimTest, TraceSinkForcesSequentialEngine) {
   const auto t = TestSystem::make();
   const auto placement = pure_caching(*t.system);
-  cdn::workload::RequestStream stream(t.system->catalog(),
-                                      t.system->demand(), 17);
-  const auto trace = cdn::workload::RecordedTrace::record(stream, 50'000);
+  cdn::obs::TraceSink par_sink(0.05, 9);
   auto cfg = parallel_sim(50'000);
-  cfg.trace = &trace;
-  const auto report = simulate(*t.system, placement, cfg);
-  EXPECT_EQ(report.shards_used, 1u);
-  EXPECT_FALSE(report.latency_cdf.sketched());
+  cfg.trace_sink = &par_sink;
+  const auto with_threads = simulate(*t.system, placement, cfg);
+  EXPECT_EQ(with_threads.shards_used, 1u);
+  EXPECT_FALSE(with_threads.latency_cdf.sketched());
+
+  cdn::obs::TraceSink seq_sink(0.05, 9);
+  cfg.threads = 1;
+  cfg.trace_sink = &seq_sink;
+  const auto sequential = simulate(*t.system, placement, cfg);
+  expect_identical(with_threads, sequential);
+  EXPECT_EQ(cdn::sim::report_digest(with_threads),
+            cdn::sim::report_digest(sequential));
+  EXPECT_GT(seq_sink.recorded(), 0u);
+  EXPECT_EQ(par_sink.recorded(), seq_sink.recorded());
 }
 
 TEST(ParallelSimTest, WindowSeriesSumBackToAggregates) {
@@ -250,14 +257,6 @@ TEST(ParallelSimTest, ShardRequestCountersCoverTheRun) {
                  .value();
   }
   EXPECT_EQ(total, 100'000u);
-}
-
-TEST(ParallelSimTest, InvalidSketchErrorRejected) {
-  auto cfg = parallel_sim();
-  cfg.latency_sketch_error = 0.0;
-  EXPECT_THROW(cfg.validate(), cdn::PreconditionError);
-  cfg.latency_sketch_error = 1.0;
-  EXPECT_THROW(cfg.validate(), cdn::PreconditionError);
 }
 
 }  // namespace
